@@ -261,8 +261,8 @@ func run(c cliConfig) int {
 		mode.CheckpointDir = c.checkpointDir
 		mode.Checkpoints = &ckptStats
 		defer func() {
-			fmt.Fprintf(os.Stderr, "[checkpoint: restored %d, cold %d, saved %d (%d save errors) in %s]\n",
-				ckptStats.Hits.Load(), ckptStats.Misses.Load(), ckptStats.Saves.Load(), ckptStats.SaveErrs.Load(), c.checkpointDir)
+			fmt.Fprintf(os.Stderr, "[checkpoint: restored %d, cold %d, saved %d (%d save errors), %d waited for another cell's warm-up, in %s]\n",
+				ckptStats.Hits.Load(), ckptStats.Misses.Load(), ckptStats.Saves.Load(), ckptStats.SaveErrs.Load(), ckptStats.Waits.Load(), c.checkpointDir)
 		}()
 	}
 

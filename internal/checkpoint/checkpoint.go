@@ -435,8 +435,11 @@ func (r *Reader) Close() error {
 // Save streams a checkpoint to path atomically: payload is written to a
 // same-directory temp file and moved into place with fsync + rename
 // (robust.CommitFile), so a crash mid-save never leaves a torn
-// checkpoint under the final name. Concurrent saves of the same key are
-// benign — last rename wins with identical content.
+// checkpoint under the final name. Within one process the experiments
+// harness saves each key once (single-flight, DESIGN.md §11); processes
+// sharing a directory may still save the same key concurrently, which is
+// benign — each writes its own temp file and the last rename wins with
+// identical content.
 func Save(path, key, meta string, write func(*Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {

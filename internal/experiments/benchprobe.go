@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"time"
 
@@ -42,7 +43,7 @@ const throughputWarmInstr = 100_000
 func throughputSystemCkpt(scale int64, ckptDir string, cs *CheckpointStats) (*core.System, WarmInfo) {
 	cfg := core.SILOConfig(16)
 	cfg.Scale = scale
-	return buildWarm(cfg, []workload.Spec{workload.WebSearch()}, throughputWarmInstr, ckptDir, cs, nil)
+	return buildWarm(context.Background(), cfg, []workload.Spec{workload.WebSearch()}, throughputWarmInstr, ckptDir, cs, nil)
 }
 
 // PaperScales are the capacity scales the paper-scale throughput probe

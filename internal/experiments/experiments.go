@@ -21,6 +21,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -76,7 +77,7 @@ func Full() Mode {
 func runOne(cfg core.Config, specs []workload.Spec, m Mode) core.Metrics {
 	cfg.Scale = m.Scale
 	cfg.GenThreads = m.GenThreads
-	sys, _ := buildWarm(cfg, specs, m.WarmInstr, m.CheckpointDir, m.Checkpoints, nil)
+	sys, _ := buildWarm(context.Background(), cfg, specs, m.WarmInstr, m.CheckpointDir, m.Checkpoints, nil)
 	defer sys.Close()
 	met := sys.Run(m.WarmCycles, m.MeasureCycles)
 	if msg := sys.CheckInvariants(); msg != "" {

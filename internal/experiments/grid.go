@@ -208,6 +208,15 @@ func (g GridSpec) enumerate(m Mode) []gridCell {
 	return cells
 }
 
+// checkpointKey is the key of the warm state the cell builds or restores
+// (buildWarm / buildWarmScenario derive the same one).
+func (c gridCell) checkpointKey(warmInstr int) string {
+	if c.scen != nil {
+		return ScenarioCheckpointKey(c.cfg, c.scen, warmInstr)
+	}
+	return CheckpointKey(c.cfg, []workload.Spec{c.spec}, warmInstr)
+}
+
 // RunGridStream executes the grid under mode m, invoking emit once per
 // completed cell, always in enumeration order and always on the calling
 // goroutine. Cells execute concurrently on Mode.Parallelism workers;
@@ -216,12 +225,12 @@ func (g GridSpec) enumerate(m Mode) []gridCell {
 // so memory stays O(workers), not O(grid). Emission order and every
 // record field except WallMS are identical at any parallelism level.
 // emit returns whether to continue: false cancels the sweep — remaining
-// cells are never simulated.
+// cells are never simulated. It is RunGridStreamOpts with the zero
+// GridOptions (fail fast), except that a failure panics, naming the cell.
 func RunGridStream(g GridSpec, m Mode, emit func(GridCellResult) bool) {
-	cells := g.enumerate(m)
-	streamOrdered(context.Background(), len(cells), m.Parallelism,
-		func(i int) GridCellResult { return runGridCell(cells[i], m) },
-		func(_ int, r GridCellResult) bool { return emit(r) })
+	if err := runGridIndexed(context.Background(), g, m, GridOptions{}, nil, emit); err != nil {
+		panic(err.Error())
+	}
 }
 
 // RunGrid executes the grid and returns all records in enumeration order
@@ -272,18 +281,6 @@ func (p *phaseTracker) get() string {
 	return "enumerate"
 }
 
-// runGridCell is the historical fail-fast cell entry point: any failure
-// panics on the caller, labeled with the cell's identity. The
-// fault-tolerant executor (gridexec.go) wraps simulateCell directly.
-func runGridCell(c gridCell, m Mode) GridCellResult {
-	defer func() {
-		if r := recover(); r != nil {
-			panic(fmt.Sprintf("experiments: grid cell %d (%s/%s/%s): %v", c.index, c.system, c.wl, c.ov, r))
-		}
-	}()
-	return simulateCell(context.Background(), c, m, nil, 0, nil)
-}
-
 // simulateCell builds, warms and measures one grid cell through the
 // streamed window engine: Windows consecutive windows of
 // MeasureCycles/Windows cycles each, per-window IPC folded into an online
@@ -303,9 +300,9 @@ func simulateCell(ctx context.Context, c gridCell, m Mode, inj *robust.Injector,
 
 	var sys *core.System
 	if c.scen != nil {
-		sys, _ = buildWarmScenario(c.cfg, c.scen, m.WarmInstr, m.CheckpointDir, m.Checkpoints, ph)
+		sys, _ = buildWarmScenario(ctx, c.cfg, c.scen, m.WarmInstr, m.CheckpointDir, m.Checkpoints, ph)
 	} else {
-		sys, _ = buildWarm(c.cfg, []workload.Spec{c.spec}, m.WarmInstr, m.CheckpointDir, m.Checkpoints, ph)
+		sys, _ = buildWarm(ctx, c.cfg, []workload.Spec{c.spec}, m.WarmInstr, m.CheckpointDir, m.Checkpoints, ph)
 	}
 	// Producer goroutines (GenThreads > 0) must die on every exit path —
 	// normal completion, invariant panic, injected cell panic — or a
@@ -362,6 +359,80 @@ func simulateCell(ctx context.Context, c gridCell, m Mode, inj *robust.Injector,
 	return r
 }
 
+// claimKeys steers streamOrdered's claim order around warm-ups in
+// progress (DESIGN.md §11). key[i] names index i's shared warm state
+// ("" for none); ready reports whether that state is already
+// materialized, i.e. its checkpoint is on disk, so a cell with the key
+// restores instead of waiting for a warm-up. ready runs under the claim
+// lock, so it must be quick (a stat) and must not call back into the
+// pool.
+type claimKeys struct {
+	key   []string
+	ready func(key string) bool
+}
+
+// claimer hands out indices to streamOrdered's workers. Without keys it
+// hands them out in index order. With keys it hands out the lowest
+// unclaimed index, except that it skips an index whose key a running
+// index holds and is not ready yet — that cell would only wait in
+// buildWarmKeyed's single-flight while the worker could run another
+// cell. When every unclaimed index is skipped it falls back to the
+// lowest one, whose cell then waits.
+//
+// Claims for one key happen in index order — all indices with a key are
+// skipped or not alike, and a fallback takes the lowest index — which
+// keeps the pool deadlock-free (DESIGN.md §11).
+type claimer struct {
+	keys *claimKeys
+
+	mu      sync.Mutex
+	claimed []bool
+	lowest  int            // every index below it is claimed
+	running map[string]int // claimed, unfinished indices per key
+}
+
+// claim returns the next index to run, or -1 when all are claimed.
+func (c *claimer) claim() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.lowest < len(c.claimed) && c.claimed[c.lowest] {
+		c.lowest++
+	}
+	if c.lowest == len(c.claimed) {
+		return -1
+	}
+	i := c.lowest
+	if c.keys != nil {
+		skipped := ""
+		for j := c.lowest; j < len(c.claimed); j++ {
+			k := c.keys.key[j]
+			if c.claimed[j] || (k != "" && k == skipped) {
+				continue
+			}
+			if k == "" || c.running[k] == 0 || c.keys.ready(k) {
+				i = j
+				break
+			}
+			skipped = k
+		}
+		if k := c.keys.key[i]; k != "" {
+			c.running[k]++
+		}
+	}
+	c.claimed[i] = true
+	return i
+}
+
+// finish records that index i's fn returned (or panicked).
+func (c *claimer) finish(i int) {
+	if c.keys == nil || c.keys.key[i] == "" {
+		return
+	}
+	c.mu.Lock()
+	c.running[c.keys.key[i]]--
+	c.mu.Unlock()
+}
+
 // streamOrdered runs fn(0..n-1) on a bounded worker pool and delivers
 // every result to emit in index order, on the calling goroutine, as soon
 // as the next-in-order result is available. It is the streaming
@@ -376,7 +447,12 @@ func simulateCell(ctx context.Context, c gridCell, m Mode, inj *robust.Injector,
 // drained (their results discarded), and the pool winds down with no
 // goroutine leaks; already-emitted results are unaffected. parallelism
 // <= 0 uses GOMAXPROCS; 1 degenerates to the in-place sequential path.
-func streamOrdered[T any](ctx context.Context, n, parallelism int, fn func(i int) T, emit func(i int, v T) bool) {
+//
+// keys (nil-safe) lets the pool claim indices out of index order, to
+// keep workers busy while a shared warm-up is in progress (claimer).
+// The order in which fn runs may then differ from the emission order;
+// emission order and the token bound do not change.
+func streamOrdered[T any](ctx context.Context, n, parallelism int, keys *claimKeys, fn func(i int) T, emit func(i int, v T) bool) {
 	if n == 0 {
 		return
 	}
@@ -405,27 +481,34 @@ func streamOrdered[T any](ctx context.Context, n, parallelism int, fn func(i int
 		panicked any
 	}
 	var (
-		next    atomic.Int64
 		stopped atomic.Bool
 		wg      sync.WaitGroup
 		results = make(chan result, 2*workers)
 		// tokens bounds claimed-but-not-yet-emitted indices: a worker
 		// acquires one before claiming an index; the consumer releases it
 		// when that index is emitted (or discarded after a panic/cancel).
-		// The cursor's index is always the earliest claimed, so its
-		// holder is either computing or already in pending — the consumer
-		// can always make progress and the pool cannot deadlock.
+		// The cursor's index is claimed as soon as a token is free (see
+		// claimer), and once claimed its holder is either computing or
+		// already in pending — the consumer can always make progress and
+		// the pool cannot deadlock.
 		tokens = make(chan struct{}, 2*workers)
+		cl     = &claimer{keys: keys, claimed: make([]bool, n)}
 	)
-	next.Store(-1)
+	if keys != nil {
+		cl.running = map[string]int{}
+	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
 				tokens <- struct{}{}
-				i := int(next.Add(1))
-				if i >= n || stopped.Load() || ctx.Err() != nil {
+				if stopped.Load() || ctx.Err() != nil {
+					<-tokens
+					return
+				}
+				i := cl.claim()
+				if i < 0 {
 					<-tokens
 					return
 				}
@@ -439,6 +522,7 @@ func streamOrdered[T any](ctx context.Context, n, parallelism int, fn func(i int
 					}()
 					r.v = fn(i)
 				}()
+				cl.finish(i)
 				results <- r
 			}
 		}()

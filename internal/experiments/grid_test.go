@@ -5,9 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -178,7 +183,7 @@ func TestStreamOrderedEmitsInOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7, n, n + 13} {
 		var calls atomic.Int64
 		next := 0
-		streamOrdered(context.Background(), n, workers, func(i int) int {
+		streamOrdered(context.Background(), n, workers, nil, func(i int) int {
 			calls.Add(1)
 			return i * i
 		}, func(i, v int) bool {
@@ -212,7 +217,7 @@ func TestStreamOrderedBoundsReorderWindow(t *testing.T) {
 	release := make(chan struct{})
 	var maxEarly atomic.Int64
 	emitted := false
-	streamOrdered(context.Background(), n, workers, func(i int) int {
+	streamOrdered(context.Background(), n, workers, nil, func(i int) int {
 		if i == 0 {
 			<-release // everything else must wait on the semaphore
 		} else {
@@ -249,7 +254,7 @@ func TestStreamOrderedCancel(t *testing.T) {
 	const n, stopAt = 50, 5
 	var calls atomic.Int64
 	emitted := 0
-	streamOrdered(context.Background(), n, 1, func(i int) int {
+	streamOrdered(context.Background(), n, 1, nil, func(i int) int {
 		calls.Add(1)
 		return i
 	}, func(i, v int) bool {
@@ -262,7 +267,7 @@ func TestStreamOrderedCancel(t *testing.T) {
 
 	calls.Store(0)
 	emitted = 0
-	streamOrdered(context.Background(), n, 4, func(i int) int {
+	streamOrdered(context.Background(), n, 4, nil, func(i int) int {
 		calls.Add(1)
 		return i
 	}, func(i, v int) bool {
@@ -328,4 +333,144 @@ func TestGridSpecNormalization(t *testing.T) {
 		}
 	}()
 	GridSpec{}.normalized()
+}
+
+// TestStreamOrderedClaimRule pins the warm-key-aware claim rule with
+// two workers: while a cell warms a key that is not on disk, the second
+// worker skips that key's other cells; with every key on disk, or with
+// nothing else to run, or without keys, it claims in index order.
+func TestStreamOrderedClaimRule(t *testing.T) {
+	cases := []struct {
+		name     string
+		keys     []string
+		onDisk   bool
+		firstTwo []int
+	}{
+		{"skips a key in warm-up", []string{"a", "a", "b", "b"}, false, []int{0, 2}},
+		{"all keys on disk", []string{"a", "a", "b", "b"}, true, []int{0, 1}},
+		{"every cell skipped", []string{"a", "a", "a", "a"}, false, []int{0, 1}},
+		{"keyless cells", []string{"", "", "b", "b"}, false, []int{0, 1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var started []int
+			saved := map[string]bool{}
+			keys := &claimKeys{key: c.keys, ready: func(k string) bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return c.onDisk || saved[k]
+			}}
+			next := 0
+			streamOrdered(context.Background(), len(c.keys), 2, keys, func(i int) int {
+				mu.Lock()
+				started = append(started, i)
+				mu.Unlock()
+				// No cell finishes before two have been claimed, so the
+				// second claim sees the first cell still running.
+				waitFor("two claimed cells", func() bool {
+					mu.Lock()
+					defer mu.Unlock()
+					return len(started) >= 2
+				})
+				mu.Lock()
+				saved[c.keys[i]] = true
+				mu.Unlock()
+				return i
+			}, func(i, v int) bool {
+				if i != next || v != i {
+					t.Errorf("emitted (%d, %d), want index %d", i, v, next)
+				}
+				next++
+				return true
+			})
+			first := append([]int(nil), started[:2]...)
+			sort.Ints(first)
+			if !reflect.DeepEqual(first, c.firstTwo) || next != len(c.keys) {
+				t.Fatalf("first two claims %v (want %v), emitted %d of %d", first, c.firstTwo, next, len(c.keys))
+			}
+		})
+	}
+}
+
+// TestStreamOrderedWarmKeyStress drives the claim rule together with
+// the single-flight registry it steers around: seeded random grids of
+// up to 70 cells over 1-8 keys (laid out adjacently, as grid overrides
+// are, or scattered), random warm-up and cell durations, 2-8 workers.
+// Every index must be emitted exactly once and in order, every key
+// warmed exactly once, within a deadlock timeout and without leaking
+// goroutines.
+func TestStreamOrderedWarmKeyStress(t *testing.T) {
+	checkGoroutineLeaks(t)
+	rng := rand.New(rand.NewPCG(12, 2026))
+	for _, workers := range []int{2, 3, 4, 8} {
+		for trial := range 8 {
+			n, nk := 1+rng.IntN(70), 1+rng.IntN(8)
+			keys := make([]string, n)
+			dur := make([]time.Duration, n)
+			for i := range keys {
+				k := i * nk / n
+				if trial%2 == 1 {
+					k = rng.IntN(nk)
+				}
+				if rng.IntN(10) > 0 { // a tenth of the cells share nothing
+					keys[i] = fmt.Sprintf("stress-w%d-t%d-k%d", workers, trial, k)
+				}
+				dur[i] = time.Duration(rng.IntN(2000)) * time.Microsecond
+			}
+			var onDisk sync.Map
+			var mu sync.Mutex
+			warmups := map[string]int{}
+			ready := func(k string) bool { _, ok := onDisk.Load(k); return ok }
+			fn := func(i int) int {
+				if k := keys[i]; k != "" && !ready(k) {
+					release, err := warmFlights.join(context.Background(), k, nil)
+					if err != nil {
+						panic(err)
+					}
+					if release != nil {
+						defer release(false)
+						if !ready(k) { // else a leader finished in between: restore
+							mu.Lock()
+							warmups[k]++
+							mu.Unlock()
+							time.Sleep(dur[i])
+							onDisk.Store(k, true)
+						}
+						release(true)
+					}
+				}
+				time.Sleep(dur[i] / 4)
+				return i
+			}
+			var calls atomic.Int64
+			next := 0
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				streamOrdered(context.Background(), n, workers, &claimKeys{key: keys, ready: ready},
+					func(i int) int { calls.Add(1); return fn(i) },
+					func(i, v int) bool {
+						if i != next || v != i {
+							t.Errorf("workers=%d trial=%d: emitted (%d, %d), want index %d", workers, trial, i, v, next)
+						}
+						next++
+						return true
+					})
+			}()
+			select {
+			case <-done:
+			case <-time.After(60 * time.Second):
+				t.Fatalf("workers=%d trial=%d (n=%d, %d keys): pool deadlocked", workers, trial, n, nk)
+			}
+			if next != n || calls.Load() != int64(n) {
+				t.Fatalf("workers=%d trial=%d: emitted %d, fn ran %d times, want %d", workers, trial, next, calls.Load(), n)
+			}
+			for _, k := range keys {
+				if k != "" && warmups[k] != 1 {
+					t.Fatalf("workers=%d trial=%d: key %s warmed %d times", workers, trial, k, warmups[k])
+				}
+			}
+		}
+	}
 }

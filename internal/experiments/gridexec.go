@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -153,7 +154,7 @@ func runGridIndexed(ctx context.Context, g GridSpec, m Mode, opts GridOptions, i
 			err = fmt.Errorf("%v", p)
 		}
 	}()
-	streamOrdered(ctx, len(indices), m.Parallelism,
+	streamOrdered(ctx, len(indices), m.Parallelism, warmClaimKeys(cells, indices, m),
 		func(i int) GridCellResult { return ex.run(ctx, cells[indices[i]]) },
 		func(_ int, r GridCellResult) bool {
 			if r.Error != nil && r.Error.Kind == cellCanceled {
@@ -168,6 +169,23 @@ func runGridIndexed(ctx context.Context, g GridSpec, m Mode, opts GridOptions, i
 		return jerr
 	}
 	return ctx.Err()
+}
+
+// warmClaimKeys names each run cell's checkpoint file, so the pool can
+// keep its workers off cells that would only wait for a warm-up in
+// progress. Without a checkpoint dir there is nothing to share: nil.
+func warmClaimKeys(cells []gridCell, indices []int, m Mode) *claimKeys {
+	if m.CheckpointDir == "" {
+		return nil
+	}
+	keys := make([]string, len(indices))
+	for i, idx := range indices {
+		keys[i] = CheckpointPath(m.CheckpointDir, cells[idx].checkpointKey(m.WarmInstr))
+	}
+	return &claimKeys{key: keys, ready: func(path string) bool {
+		_, err := os.Stat(path)
+		return err == nil
+	}}
 }
 
 // WriteJSONLinesOpts streams the grid to w as JSON lines under the
@@ -334,7 +352,7 @@ func (e *cellExecutor) timeoutError(ph *phaseTracker) *CellError {
 func (e *cellExecutor) simulate(ctx context.Context, c gridCell, attempt int, ph *phaseTracker) (rec GridCellResult, cerr *CellError) {
 	defer func() {
 		if p := recover(); p != nil {
-			if err, ok := p.(error); ok && err == robust.ErrStallInterrupted {
+			if p == robust.ErrStallInterrupted || p == errWarmWaitInterrupted {
 				cerr = &CellError{Kind: cellCanceled}
 				return
 			}

@@ -431,7 +431,7 @@ func TestStreamOrderedContextCancel(t *testing.T) {
 			defer cancel()
 			var calls atomic.Int64
 			emitted := 0
-			streamOrdered(ctx, n, workers, func(i int) int {
+			streamOrdered(ctx, n, workers, nil, func(i int) int {
 				calls.Add(1)
 				time.Sleep(time.Millisecond)
 				return i
@@ -461,7 +461,7 @@ func TestStreamOrderedPanicAcrossWorkers(t *testing.T) {
 			const n = 64
 			got := func() (msg string) {
 				defer func() { msg = fmt.Sprint(recover()) }()
-				streamOrdered(context.Background(), n, workers, func(i int) int {
+				streamOrdered(context.Background(), n, workers, nil, func(i int) int {
 					if i == 7 {
 						panic("boom at 7")
 					}

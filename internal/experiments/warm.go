@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,6 +34,9 @@ type CheckpointStats struct {
 	Misses   atomic.Uint64 // no usable checkpoint; built from scratch
 	Saves    atomic.Uint64 // checkpoints written after a cold build
 	SaveErrs atomic.Uint64 // best-effort saves that failed
+	// Waits counts cells that waited for another cell's warm-up of the
+	// same key (the single-flight rule) instead of warming up themselves.
+	Waits atomic.Uint64
 }
 
 // WarmInfo reports how one system was warmed.
@@ -142,9 +148,10 @@ func buildScenarioMeta(cfg core.Config, scen *scenario.Scenario, warmInstr int) 
 // WarmFunctional (and a best-effort checkpoint save when ckptDir is
 // set). cs and ph are optional (nil-safe). Every checkpoint failure
 // mode — missing file, torn file, flipped byte, stale version, foreign
-// key, geometry mismatch — falls back to the from-scratch path.
-func buildWarm(cfg core.Config, specs []workload.Spec, warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, WarmInfo) {
-	return buildWarmKeyed(
+// key, geometry mismatch — falls back to the from-scratch path. ctx
+// only bounds the wait for another cell's warm-up of the same key.
+func buildWarm(ctx context.Context, cfg core.Config, specs []workload.Spec, warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, WarmInfo) {
+	return buildWarmKeyed(ctx,
 		func() string { return CheckpointKey(cfg, specs, warmInstr) },
 		func() string { return buildMeta(cfg, specs, warmInstr) },
 		func() *core.System { return core.NewSystem(cfg, specs) },
@@ -158,7 +165,7 @@ func buildWarm(cfg core.Config, specs []workload.Spec, warmInstr int, ckptDir st
 // the cold path each compile a fresh source set — a restore that fails
 // partway must not leak half-restored source state into the fallback
 // cold build.
-func buildWarmScenario(cfg core.Config, scen *scenario.Scenario, warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, WarmInfo) {
+func buildWarmScenario(ctx context.Context, cfg core.Config, scen *scenario.Scenario, warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, WarmInfo) {
 	compile := func() []workload.Source {
 		srcs, err := scen.Sources(cfg.Cores, cfg.Scale, cfg.Seed)
 		if err != nil {
@@ -169,7 +176,7 @@ func buildWarmScenario(cfg core.Config, scen *scenario.Scenario, warmInstr int, 
 		}
 		return srcs
 	}
-	return buildWarmKeyed(
+	return buildWarmKeyed(ctx,
 		func() string { return ScenarioCheckpointKey(cfg, scen, warmInstr) },
 		func() string { return buildScenarioMeta(cfg, scen, warmInstr) },
 		func() *core.System { return core.NewSystemFromSources(cfg, compile()) },
@@ -179,20 +186,101 @@ func buildWarmScenario(cfg core.Config, scen *scenario.Scenario, warmInstr int, 
 		warmInstr, ckptDir, cs, ph)
 }
 
+// errWarmWaitInterrupted is the panic value buildWarmKeyed raises when
+// ctx cancels while the cell waits for another cell's warm-up; the grid
+// executor maps it to a cancelled (or, under the watchdog, timed-out)
+// attempt, like an interrupted injected stall.
+var errWarmWaitInterrupted = errors.New("experiments: wait for a shared warm-up interrupted by cancellation")
+
+// warmFlights is the in-process single-flight registry of warm-ups,
+// keyed by checkpoint path (DESIGN.md §11). While one cell warms a key
+// and saves its checkpoint, every other cell with that key waits and
+// then restores from the saved file. It is process-wide because every
+// run in the process — grid cells, figure runners, probes — shares the
+// checkpoint files it guards.
+var warmFlights = flightRegistry{m: map[string]chan struct{}{}}
+
+type flightRegistry struct {
+	mu sync.Mutex
+	// m maps a path to its leader's done channel. A leader that leaves a
+	// checkpoint behind deletes its entry; one that does not closes the
+	// channel but keeps the entry, which turns single-flight off for the
+	// path.
+	m map[string]chan struct{}
+}
+
+// join makes the caller the leader of path's warm-up, or waits for the
+// current leader to release (counted in cs.Waits, nil-safe). The leader
+// gets a release func: it must call it with whether a checkpoint is now
+// on disk, and should defer release(false) so that a panic still wakes
+// its waiters. A follower gets nil once the leader is done, as does
+// every caller after a leader failed: single-flight is then off for
+// path for the rest of the process, so the remaining cells warm up in
+// parallel instead of queueing behind one failed save after another.
+// The wait honours ctx.
+func (r *flightRegistry) join(ctx context.Context, path string, cs *CheckpointStats) (release func(saved bool), err error) {
+	r.mu.Lock()
+	done, ok := r.m[path]
+	if !ok {
+		done = make(chan struct{})
+		r.m[path] = done
+		r.mu.Unlock()
+		var once sync.Once
+		return func(saved bool) {
+			once.Do(func() {
+				if saved {
+					r.mu.Lock()
+					delete(r.m, path)
+					r.mu.Unlock()
+				}
+				close(done)
+			})
+		}, nil
+	}
+	r.mu.Unlock()
+	select {
+	case <-done:
+		return nil, nil
+	default:
+	}
+	if cs != nil {
+		cs.Waits.Add(1)
+	}
+	select {
+	case <-done:
+		return nil, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
 // buildWarmKeyed is the shared warm-or-restore engine behind buildWarm
 // and buildWarmScenario: key and meta derivation, cold construction and
-// checkpoint restore are injected; the locking, fallback and
-// best-effort-save policy live here once.
-func buildWarmKeyed(deriveKey, deriveMeta func() string, build func() *core.System,
+// checkpoint restore are injected; the single-flight, locking, fallback
+// and best-effort-save policy live here once.
+func buildWarmKeyed(ctx context.Context, deriveKey, deriveMeta func() string, build func() *core.System,
 	restore func(*checkpoint.Reader) (*core.System, error),
 	warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, WarmInfo) {
 	var info WarmInfo
 	t0 := time.Now()
 	var key, path string
+	var release func(saved bool)
 	if ckptDir != "" {
 		key = deriveKey()
 		path = CheckpointPath(ckptDir, key)
 		ph.set("restore")
+		// Single-flight: a key whose checkpoint is not on disk yet is
+		// warmed by one cell at a time. A key already on disk skips the
+		// registry, so an all-restore pass runs its restores in parallel.
+		if _, err := os.Stat(path); err != nil {
+			var jerr error
+			if release, jerr = warmFlights.join(ctx, path, cs); jerr != nil {
+				panic(errWarmWaitInterrupted)
+			}
+			if release != nil {
+				defer release(false)
+			}
+		}
 		// Shared dir lock for the whole restore: a concurrent
 		// -checkpoint-gc (another worker's maintenance on the shared dir)
 		// must not unlink the file mid-read. Failure to lock degrades to
@@ -207,6 +295,9 @@ func buildWarmKeyed(deriveKey, deriveMeta func() string, build func() *core.Syst
 			r.Close()
 			if rerr == nil {
 				unlock()
+				if release != nil {
+					release(true)
+				}
 				info.Hit = true
 				info.RestoreSec = time.Since(t0).Seconds()
 				info.WarmupSec = info.RestoreSec
@@ -232,10 +323,10 @@ func buildWarmKeyed(deriveKey, deriveMeta func() string, build func() *core.Syst
 
 	if ckptDir != "" {
 		// Best-effort save: a full disk or unwritable dir must not fail
-		// the run that just paid for the warm-up. Concurrent saves of the
-		// same key (grid cells sharing warm state) are benign — each
-		// writes a private temp file and the atomic renames carry
-		// identical bytes.
+		// the run that just paid for the warm-up. Only the key's leader
+		// saves in-process; separate processes sharing the dir may still
+		// save the same key concurrently, which is benign — each writes a
+		// private temp file and the atomic renames carry identical bytes.
 		ph.set("checkpoint")
 		// Same shared lock for the save: GC must not prune the directory
 		// (or the freshly renamed file, under an aggressive age cutoff)
@@ -249,8 +340,13 @@ func buildWarmKeyed(deriveKey, deriveMeta func() string, build func() *core.Syst
 				cs.SaveErrs.Add(1)
 			}
 			fmt.Fprintf(os.Stderr, "checkpoint: save %s failed: %v\n", filepath.Base(path), err)
-		} else if cs != nil {
-			cs.Saves.Add(1)
+		} else {
+			if release != nil {
+				release(true)
+			}
+			if cs != nil {
+				cs.Saves.Add(1)
+			}
 		}
 	}
 	return sys, info
