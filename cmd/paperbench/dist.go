@@ -31,8 +31,8 @@ func runServe(c cliConfig, mode experiments.Mode) int {
 		fmt.Fprintln(os.Stderr, "dist: -serve needs -grid <spec> (the coordinator owns the sweep definition)")
 		return 2
 	}
-	if c.gridConfidence != 0 && (c.gridConfidence <= 0 || c.gridConfidence >= 1) {
-		fmt.Fprintf(os.Stderr, "grid: -grid-confidence %v outside (0,1) — e.g. 0.95, not a percentage\n", c.gridConfidence)
+	if msg := validateGridFlags(c, mode); msg != "" {
+		fmt.Fprintf(os.Stderr, "grid: %s\n", msg)
 		return 2
 	}
 	policy, err := robust.ParseFailPolicy(c.onError)
@@ -182,7 +182,6 @@ func runWorker(c cliConfig, mode experiments.Mode) int {
 		URL:           strings.TrimRight(c.worker, "/"),
 		ID:            c.workerID,
 		Parallelism:   mode.Parallelism,
-		GenThreads:    mode.GenThreads,
 		CheckpointDir: mode.CheckpointDir,
 		JournalPath:   c.journal,
 		MaxOffline:    c.maxOffline,

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,6 +11,8 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/experiments"
 )
 
 // Regression for the snapshot-name scheme: writing more than 26 snapshots
@@ -179,5 +182,106 @@ func TestParseOverrideKeys(t *testing.T) {
 	off.Apply(&cfg)
 	if cfg.L2Size != 0 {
 		t.Fatalf("l2=false left L2Size=%d", cfg.L2Size)
+	}
+}
+
+// -grid and -serve hand the same per-cell measurement flags to the grid
+// runner, so both must refuse the same out-of-range values up front
+// (exit 2) instead of -serve running a default window count or failing
+// only after handing out a lease.
+func TestGridAndServeRejectSameGridFlags(t *testing.T) {
+	mode := experiments.Quick()
+	bad := []struct {
+		name       string
+		windows    int
+		confidence float64
+	}{
+		{"negative windows", -3, 0},
+		{"windows past measure budget", int(mode.MeasureCycles) + 1, 0},
+		{"confidence as percentage", 0, 95},
+		{"negative confidence", 0, -0.5},
+		{"confidence one", 0, 1},
+	}
+	for _, tc := range bad {
+		c := cliConfig{
+			grid:           "systems=SILO;workloads=WebSearch",
+			gridWindows:    tc.windows,
+			gridConfidence: tc.confidence,
+			onError:        "fail",
+			serve:          "127.0.0.1:0",
+			leaseTTL:       time.Second,
+			leaseCells:     1,
+		}
+		if code := runGrid(c, mode); code != 2 {
+			t.Errorf("%s: -grid exit %d, want 2", tc.name, code)
+		}
+		if code := runServe(c, mode); code != 2 {
+			t.Errorf("%s: -serve exit %d, want 2", tc.name, code)
+		}
+	}
+	for _, ok := range []cliConfig{{}, {gridWindows: 8, gridConfidence: 0.99}, {gridWindows: int(mode.MeasureCycles)}} {
+		if msg := validateGridFlags(ok, mode); msg != "" {
+			t.Errorf("windows=%d confidence=%v rejected: %s", ok.gridWindows, ok.gridConfidence, msg)
+		}
+	}
+}
+
+// TestGateAgainstBaseline pins the CI snapshot gate: baselines written by
+// older schemas (including fields this binary no longer measures) parse
+// and gate on what they share with the new snapshot, a >2x slowdown on a
+// gated metric fails, and a metric the baseline lacks is skipped.
+func TestGateAgainstBaseline(t *testing.T) {
+	const committed = "../../BENCH_2026-08-08c.json" // carries gen_overlap and heap_ns_per_event
+	data, err := os.ReadFile(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var same benchSnapshot
+	if err := json.Unmarshal(data, &same); err != nil {
+		t.Fatal(err)
+	}
+	slower := same
+	slower.SystemThroughput.NsPerOp *= 3
+
+	var sparseNew benchSnapshot
+	sparseNew.SchedulerProbe.CalendarNsPerEvent = 31
+	sparseNew.ArrayProbe.NsPerAccess = 1e9
+	sparseNew.SystemThroughput.NsPerOp = 1e12
+	sparseNew.SystemThroughputPaperScale = []experiments.PaperScalePoint{{Scale: 1, NsPerOp: 1e12}, {Scale: 4, NsPerOp: 11}}
+	sparseNew.DistSweep = []dist.SweepPoint{{Workers: 2, NsPerCell: 1e12}}
+	sparseSlow := sparseNew
+	sparseSlow.SchedulerProbe.CalendarNsPerEvent = 90
+
+	// Older-schema baseline: the retired fields sit beside the gated
+	// calendar and Scale-4 numbers; array, throughput, Scale 1 and the
+	// dist sweep are absent.
+	const sparse = `{
+  "scheduler_probe": {"calendar_ns_per_event": 30, "heap_ns_per_event": 120},
+  "system_throughput_paperscale": [{"scale": 4, "ns_per_op": 10}],
+  "gen_overlap": [{"scale": 4, "gen_threads": 1, "ring_ns_per_op": 1}]
+}`
+	dir := t.TempDir()
+	sparsePath := filepath.Join(dir, "BENCH_sparse.json")
+	if err := os.WriteFile(sparsePath, []byte(sparse), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name     string
+		snap     benchSnapshot
+		baseline string
+		wantErr  bool
+	}{
+		{"committed baseline with retired fields", same, committed, false},
+		{"3x throughput regression vs committed", slower, committed, true},
+		{"metrics missing from baseline skipped", sparseNew, sparsePath, false},
+		{"3x calendar regression vs sparse", sparseSlow, sparsePath, true},
+	}
+	for _, tc := range cases {
+		snap := tc.snap
+		err := gateAgainstBaseline(&snap, tc.baseline)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
 	}
 }

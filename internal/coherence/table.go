@@ -124,18 +124,6 @@ func newHotStore[V lineValue[V]](kind StoreKind) hotStore[V] {
 	return hotStore[V]{lineStore: s, fast: fast, fastQ: fastQ}
 }
 
-// prefetchHome warms the line's home slot in the underlying table (a
-// no-op returning 0 for the map reference, whose layout is opaque).
-func (h hotStore[V]) prefetchHome(line mem.LineAddr) uint64 {
-	if h.fastQ != nil {
-		return h.fastQ.prefetchHome(line)
-	}
-	if h.fast != nil {
-		return h.fast.prefetchHome(line)
-	}
-	return 0
-}
-
 func (h hotStore[V]) get(line mem.LineAddr) (V, bool) {
 	if h.fastQ != nil {
 		return h.fastQ.get(line)
@@ -280,12 +268,6 @@ func tableKey(line mem.LineAddr) uint64 { return uint64(line) + 1 }
 // table's index bits.
 func home(key, mask uint64) uint64 {
 	return (key * 0x9E3779B97F4A7C15) >> 32 & mask
-}
-
-// prefetchHome touches the line's home slot ahead of the real probe (see
-// quotTable.prefetchHome).
-func (t *openTable[V]) prefetchHome(line mem.LineAddr) uint64 {
-	return t.slots[home(tableKey(line), t.mask)].key
 }
 
 func (t *openTable[V]) size() int         { return t.n + t.oldN }

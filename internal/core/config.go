@@ -118,13 +118,6 @@ type Config struct {
 	LocalMissPredictor bool
 	DirectoryCache     bool
 
-	// GenThreads moves trace generation off the timing thread: N > 0 runs
-	// the cores' workload streams on min(N, Cores) producer goroutines
-	// feeding per-core SPSC block rings (DESIGN.md §12); 0 keeps the
-	// synchronous in-thread path. Host-side only — simulation results are
-	// bit-identical at every value.
-	GenThreads int
-
 	// Interconnect and memory.
 	HopLatency sim.Cycle
 	// LLCFixedOverhead models router/controller overhead per shared-LLC
@@ -237,9 +230,6 @@ func (c *Config) Validate() {
 	}
 	if c.RWSharedMult < 1 {
 		panic("core: RWSharedMult must be >= 1")
-	}
-	if c.GenThreads < 0 {
-		panic(fmt.Sprintf("core: GenThreads %d must be >= 0", c.GenThreads))
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
@@ -49,13 +50,6 @@ type System struct {
 	cores   []*cpu.Core
 	sources []workload.Source
 	started bool
-	// prefetch opts the timed phase into the home-slot batch prefetcher
-	// (EnablePrefetch); off by default — see the method comment.
-	prefetch bool
-	// producers feed the cores' SPSC op rings during the timed phase when
-	// cfg.GenThreads > 0; nil on the synchronous path. Owned by startCores,
-	// released by Close.
-	producers *workload.ProducerSet
 }
 
 // NewSystem builds a system running the given per-core workloads. specs
@@ -166,28 +160,9 @@ func (a *coreAdapter) Data(core int, addr mem.Addr, write, rwShared, independent
 // on every simulated access.
 type privateCoreAdapter struct {
 	hier *privateHierarchy
-	// pfSink accumulates the slot words PrefetchBatch reads so the
-	// compiler cannot eliminate the warming loads. Per-adapter (one
-	// adapter per core), so concurrent grid cells never share it.
-	pfSink uint64
 }
 
 var _ cpu.Hierarchy = (*privateCoreAdapter)(nil)
-var _ cpu.BatchPrefetcher = (*privateCoreAdapter)(nil)
-
-// PrefetchBatch warms the directory's home slots for the batch's memory
-// ops (the coherence-store prefetch satellite, DESIGN.md §12): by the
-// time the issue loop probes the directory, the slot's cache line is
-// already in flight. Host-side only — no simulated state changes.
-func (a *privateCoreAdapter) PrefetchBatch(_ int, ops []workload.Op) {
-	sink := a.pfSink
-	for i := range ops {
-		if op := &ops[i]; op.IsMem() {
-			sink ^= a.hier.dir.PrefetchLine(op.Addr().Line())
-		}
-	}
-	a.pfSink = sink
-}
 
 func (a *privateCoreAdapter) IFetch(core int, line mem.LineAddr, jump bool) (sim.Cycle, bool) {
 	lat, hit := a.hier.ifetch(core, line, jump, true)
@@ -200,24 +175,10 @@ func (a *privateCoreAdapter) Data(core int, addr mem.Addr, write, rwShared, inde
 }
 
 type sharedCoreAdapter struct {
-	hier   *sharedHierarchy
-	pfSink uint64 // see privateCoreAdapter.pfSink
+	hier *sharedHierarchy
 }
 
 var _ cpu.Hierarchy = (*sharedCoreAdapter)(nil)
-var _ cpu.BatchPrefetcher = (*sharedCoreAdapter)(nil)
-
-// PrefetchBatch warms the snoop filter's home slots for the batch's
-// memory ops (see privateCoreAdapter.PrefetchBatch).
-func (a *sharedCoreAdapter) PrefetchBatch(_ int, ops []workload.Op) {
-	sink := a.pfSink
-	for i := range ops {
-		if op := &ops[i]; op.IsMem() {
-			sink ^= a.hier.snoop.PrefetchLine(op.Addr().Line())
-		}
-	}
-	a.pfSink = sink
-}
 
 func (a *sharedCoreAdapter) IFetch(core int, line mem.LineAddr, jump bool) (sim.Cycle, bool) {
 	lat, hit := a.hier.ifetch(core, line, jump, true)
@@ -237,18 +198,10 @@ const warmChunk = 2000
 // WarmFunctional streams instrPerCore instructions per core through the
 // hierarchy with no timing, in round-robin chunks, bringing caches,
 // directories and the DRAM cache to steady state (the reproduction's
-// substitute for the paper's checkpoint-based warm-up). With
-// cfg.GenThreads > 0 the op streams are generated by producer goroutines
-// and consumed off per-core rings — same ops, same interleave, same final
-// state (the determinism contract, DESIGN.md §12), but the dominant
-// generation cost overlaps the hierarchy walks.
+// substitute for the paper's checkpoint-based warm-up).
 func (s *System) WarmFunctional(instrPerCore int) {
 	if s.started {
 		panic("core: warm-up after timing start")
-	}
-	if s.cfg.GenThreads > 0 {
-		s.warmRing(instrPerCore)
-		return
 	}
 	var op workload.Op
 	for done := 0; done < instrPerCore; done += warmChunk {
@@ -260,91 +213,22 @@ func (s *System) WarmFunctional(instrPerCore int) {
 			st := s.sources[c]
 			for i := 0; i < n; i++ {
 				st.Next(&op)
-				s.warmOne(c, &op)
-			}
-		}
-	}
-}
-
-// warmOne replays one op through the functional access path.
-func (s *System) warmOne(c int, op *workload.Op) {
-	if line := op.NewIFetchLine(); line != 0 {
-		s.hier.ifetch(c, line, op.Jump(), false)
-	}
-	if op.IsMem() {
-		s.hier.data(c, op.Addr(), op.Write(), op.RWShared(), op.NonTemporal(), false)
-	}
-}
-
-// warmRing is WarmFunctional's off-thread path: budgeted producers
-// (exactly instrPerCore ops per stream) feed per-core rings while this
-// goroutine walks the hierarchy in the same per-core chunk interleave as
-// the synchronous loop. The producers are joined before returning, and
-// the drain assertion pins the checkpoint rule: every ring is quiescent
-// and every stream sits exactly instrPerCore ops in, so warm state cut
-// here is identical to the synchronous path's.
-func (s *System) warmRing(instrPerCore int) {
-	ps := workload.StartProducers(s.sources, s.cfg.GenThreads, int64(instrPerCore))
-	cur := make([][]workload.Op, s.cfg.Cores)
-	for done := 0; done < instrPerCore; done += warmChunk {
-		n := warmChunk
-		if instrPerCore-done < n {
-			n = instrPerCore - done
-		}
-		for c := 0; c < s.cfg.Cores; c++ {
-			for i := 0; i < n; i++ {
-				if len(cur[c]) == 0 {
-					cur[c] = ps.Ring(c).NextBlock()
+				if line := op.NewIFetchLine(); line != 0 {
+					s.hier.ifetch(c, line, op.Jump(), false)
 				}
-				s.warmOne(c, &cur[c][0])
-				cur[c] = cur[c][1:]
+				if op.IsMem() {
+					s.hier.data(c, op.Addr(), op.Write(), op.RWShared(), op.NonTemporal(), false)
+				}
 			}
 		}
 	}
-	for c := 0; c < s.cfg.Cores; c++ {
-		if len(cur[c]) != 0 || !ps.Ring(c).Drained() {
-			panic("core: ring warm-up consumer and producers disagree on the op budget")
-		}
-	}
-	ps.Wait()
-	ps.Close()
 }
 
-// prefetchMinTableBytes gates the coherence home-slot prefetch on the
-// line-table footprint at timing start: under it the table lives in the
-// host LLC and the extra prefetch work is pure overhead.
-const prefetchMinTableBytes = 16 << 20
-
-// EnablePrefetch opts the system into the coherence home-slot batch
-// prefetcher at timing start, still subject to the footprint gate. It is
-// opt-in rather than a default because measured at Scale 4 on the dev
-// host (line table ~30 MB, well past the gate) it *regressed* throughput
-// by 10-15%: Go has no non-binding prefetch hint, so PrefetchBatch's
-// demand loads serialize at refill and the quotMix hashing outweighs the
-// memory-level-parallelism win. The mechanism stays bit-identical
-// (TestPrefetchBitIdentical) for hosts where the trade flips.
-func (s *System) EnablePrefetch() { s.prefetch = true }
-
-// startCores transitions the system into the timed phase: unbudgeted
-// producers and per-core rings when cfg.GenThreads > 0, the home-slot
-// prefetcher when opted in and the (post-warm-up) line table outgrows the
-// host caches, then the cores themselves. Idempotent; shared by Run and
-// StreamWindows.
+// startCores transitions the system into the timed phase by starting the
+// cores. Idempotent; shared by Run and StreamWindows.
 func (s *System) startCores() {
 	if s.started {
 		return
-	}
-	if s.cfg.GenThreads > 0 {
-		s.producers = workload.StartProducers(s.sources, s.cfg.GenThreads, -1)
-		for i, c := range s.cores {
-			c.AttachRing(s.producers.Ring(i))
-		}
-	}
-	if entries, bytesPerSlot := s.hier.lineTable(); s.prefetch &&
-		int64(entries)*int64(bytesPerSlot) >= prefetchMinTableBytes {
-		for _, c := range s.cores {
-			c.EnablePrefetch()
-		}
 	}
 	for _, c := range s.cores {
 		c.Start()
@@ -352,15 +236,12 @@ func (s *System) startCores() {
 	s.started = true
 }
 
-// Close stops the producer goroutines started by startCores (no-op on the
-// synchronous path; idempotent). Call it when done with a GenThreads > 0
-// system — from the consuming goroutine, never concurrently with Run.
-func (s *System) Close() {
-	if s.producers != nil {
-		s.producers.Close()
-		s.producers = nil
-	}
-}
+// Close marks the end of the system's use. A System holds no goroutines
+// or host resources beyond its heap, so there is nothing to release, but
+// the system stays reachable until Close returns: a heap measurement
+// taken before Close (perfbench's peak_heap_mb) sees the whole system
+// instead of a collected one.
+func (s *System) Close() { runtime.KeepAlive(s) }
 
 // Run starts the cores (if needed), runs warmCycles of timed warm-up, then
 // measures for measureCycles and returns the window's metrics — the

@@ -92,7 +92,6 @@ func RunPaperScaleProbe(scale int64) PaperScalePoint {
 func RunPaperScaleProbeCkpt(scale int64, ckptDir string, cs *CheckpointStats) PaperScalePoint {
 	p := PaperScalePoint{Scale: scale}
 	sys, wi := throughputSystemCkpt(scale, ckptDir, cs)
-	defer sys.Close()
 	p.WarmupSec = wi.WarmupSec
 	p.RestoreSec = wi.RestoreSec
 	p.CheckpointHit = wi.Hit
@@ -132,55 +131,6 @@ func bestOfRounds(rounds int, minWall time.Duration, iter func()) float64 {
 		}
 	}
 	return best
-}
-
-// GenOverlapPoint is one scale's serial-vs-ring comparison from
-// RunGenOverlapProbe: the same system built, warmed and measured twice —
-// once synchronous, once with GenThreads producer goroutines.
-type GenOverlapPoint struct {
-	Scale      int64 `json:"scale"`
-	GenThreads int   `json:"gen_threads"`
-	// Warm-up wall time per path: at paper scale functional warm-up is
-	// generation-dominated, so this is where the overlap shows first.
-	SerialWarmSec float64 `json:"serial_warm_sec"`
-	RingWarmSec   float64 `json:"ring_warm_sec"`
-	// Timed-phase cost per path (best-of-rounds, same convention as the
-	// throughput probes). ring_ns_per_op is the regression-gated metric.
-	SerialNsPerOp float64 `json:"serial_ns_per_op"`
-	RingNsPerOp   float64 `json:"ring_ns_per_op"`
-}
-
-// RunGenOverlapProbe measures the off-thread generation win at one scale:
-// two cold builds of the reference throughput system (no checkpoints —
-// warm-up time is half the point), one at GenThreads 0 and one at
-// genThreads, each timed through warm-up and a best-of throughput
-// measurement. Both paths are bit-identical in simulated results
-// (core.TestGenThreadsBitIdentical); this probe records what the host
-// paid. On a single-core host the ring path shows its handoff overhead
-// rather than a win — Host in the snapshot says which regime was
-// measured.
-func RunGenOverlapProbe(scale int64, genThreads int) GenOverlapPoint {
-	p := GenOverlapPoint{Scale: scale, GenThreads: genThreads}
-	const (
-		rounds  = 2
-		minWall = 500 * time.Millisecond
-	)
-	measure := func(gen int) (warmSec, nsPerOp float64) {
-		cfg := core.SILOConfig(16)
-		cfg.Scale = scale
-		cfg.GenThreads = gen
-		t0 := time.Now()
-		sys := core.NewSystem(cfg, []workload.Spec{workload.WebSearch()})
-		defer sys.Close()
-		sys.Prewarm()
-		sys.WarmFunctional(throughputWarmInstr)
-		warmSec = time.Since(t0).Seconds()
-		nsPerOp = bestOfRounds(rounds, minWall, func() { sys.Run(0, ThroughputWindow) })
-		return warmSec, nsPerOp
-	}
-	p.SerialWarmSec, p.SerialNsPerOp = measure(0)
-	p.RingWarmSec, p.RingNsPerOp = measure(genThreads)
-	return p
 }
 
 // SchedulerProbeEvents is the number of events one scheduler probe run

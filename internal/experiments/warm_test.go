@@ -351,15 +351,13 @@ func TestBuildWarmSingleFlightFaults(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer func() { leaderPanic = recover() }()
-			sys, _ := flightTestBuild(context.Background(), dir, build, cs)
-			sys.Close()
+			flightTestBuild(context.Background(), dir, build, cs)
 		}()
 		<-leading
 		for range followers {
 			go func() {
 				defer wg.Done()
-				sys, _ := flightTestBuild(context.Background(), dir, build, cs)
-				sys.Close()
+				flightTestBuild(context.Background(), dir, build, cs)
 			}()
 		}
 		wg.Wait()
@@ -414,8 +412,7 @@ func TestBuildWarmSingleFlightFaults(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sys, _ := flightTestBuild(context.Background(), dir, build, &cs)
-				sys.Close()
+				flightTestBuild(context.Background(), dir, build, &cs)
 			}()
 		}
 		wg.Wait()
@@ -432,12 +429,11 @@ func TestBuildWarmSingleFlightFaults(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			sys, _ := flightTestBuild(context.Background(), dir, func() *core.System {
+			flightTestBuild(context.Background(), dir, func() *core.System {
 				close(leading)
 				<-release
 				return newWarmTestSystem()
 			}, &cs)
-			sys.Close()
 		}()
 		<-leading
 		ctx, cancel := context.WithCancel(context.Background())

@@ -150,11 +150,6 @@ func (s *System) Run(warm, measure Cycle) Metrics { return s.inner.Run(warm, mea
 // a description of the first violation or "" when healthy.
 func (s *System) CheckInvariants() string { return s.inner.CheckInvariants() }
 
-// Close releases the off-thread trace-generation goroutines started when
-// Config.GenThreads > 0 (idempotent; a no-op for synchronous systems).
-// Call it when done with a system, from the goroutine that ran it.
-func (s *System) Close() { s.inner.Close() }
-
 // DRAM technology model entry points (paper Sec. IV).
 var (
 	// TileSweep reproduces Fig 7 (tile dimensions vs latency and area).
