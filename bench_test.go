@@ -7,13 +7,16 @@ package silo_test
 //
 //	go test -bench=. -benchmem
 //
-// For paper-scale windows use cmd/paperbench -full; the benchmarks exist to
-// regenerate shapes quickly and to track simulator performance.
+// For paper-scale windows use cmd/paperbench -full. The benchmarks exist to
+// regenerate shapes quickly and to time single layers; host-speed claims
+// come from perfbench/ (fixed simulated work, repeated and interleaved
+// against a baseline — see its README).
 
 import (
 	"testing"
 
 	silo "repro"
+	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/experiments"
 	"repro/internal/mem"
@@ -228,10 +231,11 @@ func BenchmarkAblationPagePolicy(b *testing.B) {
 
 // Raw component benchmarks: simulator throughput on the hot paths.
 
+// BenchmarkSystemSimulationThroughput times one ThroughputWindow of the
+// warmed reference system (experiments.ThroughputSystemAt) in the
+// cache-resident Scale-32 regime.
 func BenchmarkSystemSimulationThroughput(b *testing.B) {
-	// Shared with paperbench -bench-json so BENCH_<date>.json snapshots
-	// stay comparable to this benchmark's output.
-	sys := experiments.ThroughputSystem()
+	sys := experiments.ThroughputSystemAt(32)
 	b.ResetTimer()
 	var retired uint64
 	for i := 0; i < b.N; i++ {
@@ -244,8 +248,7 @@ func BenchmarkSystemSimulationThroughput(b *testing.B) {
 // BenchmarkSystemThroughputPaperScale* measure the same throughput window
 // at paper-scale footprints (Scale 1 = the paper's 4GB aggregate vault
 // capacity, Scale 4 the cheapest multi-million-entry-table point) — the
-// regime the compact coherence slots target (DESIGN.md §8-§9; paperbench
-// -bench-json reports the same probe as system_throughput_paperscale).
+// regime the compact coherence slots target (DESIGN.md §8-§9).
 // Scale 1 warms tens of millions of lines, so it hides behind the
 // short-mode guard: CI's 1x-benchtime smoke runs with -short and only
 // pays for Scale 4.
@@ -269,41 +272,96 @@ func benchPaperScale(b *testing.B, scale int64) {
 func BenchmarkSystemThroughputPaperScale1(b *testing.B) { benchPaperScale(b, 1) }
 func BenchmarkSystemThroughputPaperScale4(b *testing.B) { benchPaperScale(b, 4) }
 
-// BenchmarkSchedulerProbe* time the engine's event-queue implementations on
-// the canonical simulator event mix (see experiments.RunSchedulerProbe;
-// paperbench -bench-json reports the same probe in BENCH_<date>.json). The
-// calendar queue is the engine default; the binary heap is the reference.
+// arrayProbeOps is the number of cache-array accesses one array probe run
+// performs.
+const arrayProbeOps = 1 << 20
 
-func benchSchedulerProbe(b *testing.B, kind sim.SchedulerKind) {
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		events += experiments.RunSchedulerProbe(kind)
+// runArrayProbe drives cache.Array through the simulator's canonical
+// access mix — a hot L1-shaped array (mostly hits: probe + touch) and a
+// large direct-mapped vault-shaped array (the SILO LLC slice: probe, then
+// fill on miss) — and returns the accesses performed.
+func runArrayProbe() uint64 {
+	l1 := cache.NewArray(2<<10, 8, cache.LRU)    // scaled L1 shape
+	vault := cache.NewArray(8<<20, 1, cache.LRU) // scaled 256MB vault at Scale 32
+	rng := sim.NewRNG(0x5EED)
+	l1Lines := uint64(l1.SizeBytes()/mem.LineSize) * 2 // 2x capacity: conflicts
+	vaultLines := uint64(vault.SizeBytes()/mem.LineSize) * 2
+	for i := 0; i < arrayProbeOps; i++ {
+		if i%4 != 0 {
+			// L1 traffic: hit-dominated probe+touch, insert on miss.
+			line := mem.LineAddr(rng.Uint64n(l1Lines) * mem.LineSize)
+			if w := l1.Probe(line); w != cache.NoWay {
+				l1.TouchWay(w)
+			} else {
+				l1.InsertAt(line, cache.Shared)
+			}
+		} else {
+			// Vault traffic: direct-mapped probe, streaming fills demoted.
+			line := mem.LineAddr(rng.Uint64n(vaultLines) * mem.LineSize)
+			if w := vault.Probe(line); w != cache.NoWay {
+				vault.TouchWay(w)
+			} else {
+				w, _, _ := vault.InsertAt(line, cache.Shared)
+				if i%16 == 0 {
+					vault.DemoteWay(w)
+				}
+			}
+		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	return arrayProbeOps
 }
 
-func BenchmarkSchedulerProbeCalendar(b *testing.B) { benchSchedulerProbe(b, sim.CalendarQueue) }
-func BenchmarkSchedulerProbeHeap(b *testing.B)     { benchSchedulerProbe(b, sim.BinaryHeap) }
-
 // BenchmarkArrayProbe times the cache-array fast path on the canonical L1 +
-// direct-mapped-vault access mix (experiments.RunArrayProbe; paperbench
-// -bench-json reports the same probe in BENCH_<date>.json).
+// direct-mapped-vault access mix (runArrayProbe).
 func BenchmarkArrayProbe(b *testing.B) {
 	var ops uint64
 	for i := 0; i < b.N; i++ {
-		ops += experiments.RunArrayProbe()
+		ops += runArrayProbe()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/access")
 }
 
+// coherenceTableOps is the number of coherence operations one table probe
+// run performs.
+const coherenceTableOps = 1 << 20
+
+// runCoherenceTableProbe drives both coherence substrates — the MOESI
+// directory and the MESI snoop filter — through a read/share/write/evict
+// cycle over a line population large enough to exercise the store's
+// growth and deletion paths, on the given store implementation, and
+// returns the operations performed.
+func runCoherenceTableProbe(kind coherence.StoreKind) uint64 {
+	const cores = 16
+	const lines = 1 << 16
+	dir := coherence.NewDirectoryWithStore(cores, coherence.MOESI, kind)
+	snoop := coherence.NewSnoopFilterWithStore(cores, kind)
+	// 7 store-touching operations per iteration: the StateOf guard always
+	// probes, and the guarded Read always fires in steady state because
+	// the preceding iteration's Evict emptied the line's entry.
+	for i := 0; i < coherenceTableOps/7; i++ {
+		line := mem.LineAddr(uint64(i%lines) * mem.LineSize)
+		r := i % cores
+		w := (i + 7) % cores
+		if dir.StateOf(line, r) == cache.Invalid {
+			dir.Read(line, r)
+		}
+		dir.WriteMask(line, w)
+		dir.Evict(line, w)
+		snoop.Read(line, r)
+		snoop.WriteMask(line, w)
+		snoop.Evict(line, w, false)
+	}
+	return coherenceTableOps / 7 * 7
+}
+
 // BenchmarkCoherenceTable* time the coherence substrates' store
 // implementations on the canonical directory + snoop-filter op cycle
-// (experiments.RunCoherenceTableProbe). The open-addressed table is the
+// (runCoherenceTableProbe). The open-addressed table is the 32-core
 // default; the Go map is the retained reference.
 func benchCoherenceTable(b *testing.B, kind coherence.StoreKind) {
 	var ops uint64
 	for i := 0; i < b.N; i++ {
-		ops += experiments.RunCoherenceTableProbe(kind)
+		ops += runCoherenceTableProbe(kind)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/op")
 }
@@ -315,14 +373,44 @@ func BenchmarkCoherenceTableMap(b *testing.B)  { benchCoherenceTable(b, coherenc
 // (8 B/slot, the default for ≤16-core systems — see DESIGN.md §8).
 func BenchmarkCoherenceTableQuot(b *testing.B) { benchCoherenceTable(b, coherence.QuotTable) }
 
+// streamProbeOps is the number of trace ops one stream probe run
+// generates.
+const streamProbeOps = 1 << 20
+
+// streamProbeBatch matches the cpu core's refill size so the batched
+// probe measures exactly the path the simulation hot loop pays.
+const streamProbeBatch = 16
+
+// runStreamProbe drives the workload trace generator through the
+// simulator's canonical stream (Web Search at Scale 32, a 16-core
+// system's core 0) either op by op (Next, the serial reference) or
+// through the batched refill path (NextBatch) the cpu core consumes
+// from, and returns the ops generated. Both paths produce bit-identical
+// op sequences (workload.TestNextBatchMatchesNext); the probe exists to
+// quantify the batching win.
+func runStreamProbe(batched bool) uint64 {
+	st := workload.NewStream(workload.WebSearch(), 0, 16, 32, 0x5EED)
+	if batched {
+		var buf [streamProbeBatch]workload.Op
+		for n := 0; n < streamProbeOps; n += streamProbeBatch {
+			st.NextBatch(buf[:])
+		}
+	} else {
+		var op workload.Op
+		for n := 0; n < streamProbeOps; n++ {
+			st.Next(&op)
+		}
+	}
+	return streamProbeOps
+}
+
 // BenchmarkStreamProbe* time trace generation per op through the serial
 // (Next) and batched (NextBatch, what the cpu core consumes) paths on the
-// canonical stream (experiments.RunStreamProbe; paperbench -bench-json
-// reports the same probe in BENCH_<date>.json).
+// canonical stream (runStreamProbe).
 func benchStreamProbe(b *testing.B, batched bool) {
 	var ops uint64
 	for i := 0; i < b.N; i++ {
-		ops += experiments.RunStreamProbe(batched)
+		ops += runStreamProbe(batched)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/op")
 }

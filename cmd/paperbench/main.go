@@ -2,9 +2,7 @@
 // evaluation. By default it runs in quick mode; -full uses paper-scale
 // measurement windows. -only selects a single experiment (e.g. -only
 // fig10). -parallel bounds the experiment runner's worker pool (0 = all
-// cores). -bench-json skips the tables and instead writes a
-// BENCH_<date>.json performance snapshot (simulator hot-path throughput
-// plus the Fig 10 suite) for tracking the perf trajectory across commits.
+// cores). Host-speed measurement lives in perfbench/, not here.
 //
 // -grid switches to batch mode: instead of the paper's figures it runs an
 // arbitrary (system x workload x config-override) cell grid and streams
@@ -20,7 +18,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -30,8 +27,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/coherence"
-	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/robust"
 	"repro/internal/sim"
@@ -42,8 +37,6 @@ type cliConfig struct {
 	full            bool
 	only            string
 	parallel        int
-	benchJSON       bool
-	benchBaseline   string
 	checkpointDir   string
 	checkpointLS    bool
 	checkpointGC    int
@@ -80,8 +73,6 @@ func main() {
 	flag.BoolVar(&c.full, "full", false, "use paper-scale measurement windows")
 	flag.StringVar(&c.only, "only", "", "run a single experiment (fig1, fig2, fig3, fig4, fig7, fig8, table1, fig10, fig11, fig12, fig13, fig14, fig15, table6, fig16)")
 	flag.IntVar(&c.parallel, "parallel", 0, "experiment worker pool size (0 = all cores, 1 = sequential)")
-	flag.BoolVar(&c.benchJSON, "bench-json", false, "write a BENCH_<date>.json performance snapshot and exit (never clobbers an existing snapshot: a b/c/... suffix is added)")
-	flag.StringVar(&c.benchBaseline, "bench-baseline", "", "with -bench-json: compare the new snapshot's probe metrics against this baseline BENCH_*.json and exit non-zero on a >2x regression (the CI gate)")
 	flag.StringVar(&c.checkpointDir, "checkpoint-dir", "", "restore warmed systems from this directory when a matching warm-state checkpoint exists, and save one after every cold warm-up (DESIGN.md §11); results are bit-identical either way")
 	flag.BoolVar(&c.checkpointLS, "checkpoint-ls", false, "with -checkpoint-dir: list the directory's checkpoints (key, size, age, header metadata) and exit")
 	flag.IntVar(&c.checkpointGC, "checkpoint-gc", -1, "with -checkpoint-dir: prune checkpoints older than N days or with a stale/corrupt format header, then exit (0 prunes everything)")
@@ -257,14 +248,6 @@ func run(c cliConfig) int {
 			fmt.Fprintf(os.Stderr, "[checkpoint: restored %d, cold %d, saved %d (%d save errors), %d waited for another cell's warm-up, in %s]\n",
 				ckptStats.Hits.Load(), ckptStats.Misses.Load(), ckptStats.Saves.Load(), ckptStats.SaveErrs.Load(), ckptStats.Waits.Load(), c.checkpointDir)
 		}()
-	}
-
-	if c.benchJSON {
-		if err := writeBenchSnapshot(mode, c.benchBaseline); err != nil {
-			fmt.Fprintf(os.Stderr, "bench snapshot: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 
 	if c.worker != "" {
@@ -456,356 +439,4 @@ func runGrid(c cliConfig, mode experiments.Mode) int {
 	}
 	fmt.Fprintf(os.Stderr, "[grid: %d cells in %v%s]\n", g.Cells(), time.Since(start).Round(time.Millisecond), failNote)
 	return 0
-}
-
-// benchSnapshot is the schema of BENCH_<date>.json. ns/op figures follow
-// the go test -bench convention so snapshots are comparable to
-// BenchmarkSystemSimulationThroughput and BenchmarkFig10ScaleOut output.
-type benchSnapshot struct {
-	Date        string `json:"date"`
-	Mode        string `json:"mode"` // quick or full; full fig10 numbers are not comparable to quick ones
-	GoMaxProcs  int    `json:"go_max_procs"`
-	Parallelism int    `json:"parallelism"`
-	// Host records the machine the snapshot was measured on, so
-	// cross-machine comparisons (dev box vs CI runner phases) carry their
-	// own context instead of relying on CHANGES.md folklore.
-	Host struct {
-		NumCPU     int    `json:"num_cpu"`
-		GoMaxProcs int    `json:"go_max_procs"`
-		GoVersion  string `json:"go_version"`
-	} `json:"host"`
-	// Scheduler is the engine's event-queue implementation (the default for
-	// every system the snapshot measures).
-	Scheduler string `json:"scheduler"`
-
-	// SchedulerProbe times the production event queue on the canonical
-	// event mix (experiments.RunSchedulerProbe), mirroring
-	// BenchmarkSchedulerProbeCalendar.
-	SchedulerProbe struct {
-		CalendarNsPerEvent float64 `json:"calendar_ns_per_event"`
-	} `json:"scheduler_probe"`
-
-	// ArrayProbe times the cache-array fast path on the canonical L1 +
-	// direct-mapped-vault mix (experiments.RunArrayProbe), mirroring
-	// BenchmarkArrayProbe.
-	ArrayProbe struct {
-		NsPerAccess float64 `json:"ns_per_access"`
-	} `json:"array_probe"`
-
-	// CoherenceTable compares the coherence substrates' store
-	// implementations on the canonical directory + snoop cycle
-	// (experiments.RunCoherenceTableProbe), mirroring
-	// BenchmarkCoherenceTableQuot/Open/Map. BytesPerSlot is the inline
-	// slot footprint of the default store for the measured 16-core
-	// systems (8 B for the quotient-compressed table, DESIGN.md §8).
-	CoherenceTable struct {
-		QuotNsPerOp  float64 `json:"quot_ns_per_op"`
-		OpenNsPerOp  float64 `json:"open_ns_per_op"`
-		MapNsPerOp   float64 `json:"map_ns_per_op"`
-		BytesPerSlot int     `json:"bytes_per_slot"`
-	} `json:"coherence_table"`
-
-	// StreamProbe compares trace generation per op through the serial
-	// (Next) and batched (NextBatch, what the cpu core consumes) paths
-	// (experiments.RunStreamProbe), mirroring BenchmarkStreamProbe*.
-	StreamProbe struct {
-		SerialNsPerOp  float64 `json:"serial_ns_per_op"`
-		BatchedNsPerOp float64 `json:"batched_ns_per_op"`
-	} `json:"stream_probe"`
-
-	// SystemThroughput mirrors BenchmarkSystemSimulationThroughput: a
-	// warmed 16-core SILO system running Web Search, measured in 10K-cycle
-	// windows over three ~1s rounds. Iters and NsPerOp describe the best
-	// round (like the probes, best-of sheds scheduling noise), so
-	// Iters*NsPerOp reconstructs that round's wall time; InstrPerIter,
-	// EventsPerSec and AllocsPerOp (the steady-state allocation guard)
-	// are computed over all rounds.
-	SystemThroughput struct {
-		Iters        int     `json:"iters"`
-		NsPerOp      float64 `json:"ns_per_op"`
-		InstrPerIter float64 `json:"instr_per_iter"`
-		EventsPerSec float64 `json:"events_per_sec"`
-		AllocsPerOp  float64 `json:"allocs_per_op"`
-	} `json:"system_throughput"`
-
-	// SystemThroughputPaperScale measures the same throughput window at
-	// paper-scale footprints (experiments.PaperScales; Scale 1 is the
-	// paper's 4GB aggregate vault capacity) — the multi-million-entry
-	// line-table regime the compact coherence slots target (DESIGN.md
-	// §8-§9). Each point records the table occupancy it measured.
-	SystemThroughputPaperScale []experiments.PaperScalePoint `json:"system_throughput_paperscale"`
-
-	// DistSweep measures the distributed runner end to end
-	// (dist.RunSweepProbe): coordinator + N in-process workers over real
-	// loopback HTTP on a fixed 12-cell grid, at 1 and 2 workers.
-	// ns_per_cell is regression-gated per worker count; the 1-vs-2
-	// spread shows whether lease/report overhead swamps the parallelism
-	// win.
-	DistSweep []dist.SweepPoint `json:"dist_sweep"`
-
-	// Fig10 is one Fig 10 suite run (5 systems x 8 workloads) through the
-	// concurrent runner, under the selected mode (see the "mode" field —
-	// quick and full snapshots are not comparable to each other).
-	Fig10 struct {
-		NsPerOp      float64 `json:"ns_per_op"`
-		SiloGeomeanX float64 `json:"silo_geomean_x"`
-	} `json:"fig10"`
-}
-
-// writeBenchSnapshot measures the headline performance numbers and writes
-// them to BENCH_<date>.json in the current directory (suffixing b/c/...
-// when a snapshot for the date already exists, so the trajectory keeps
-// every point; see snapshotName for why the suffixes are letters). With a baseline it then gates: any probe metric more than
-// benchRegressionFactor slower than the baseline's fails the run.
-func writeBenchSnapshot(mode experiments.Mode, baseline string) error {
-	var snap benchSnapshot
-	snap.Date = time.Now().Format("2006-01-02")
-	snap.Mode = mode.Name
-	snap.GoMaxProcs = runtime.GOMAXPROCS(0)
-	snap.Parallelism = mode.Parallelism
-	snap.Host.NumCPU = runtime.NumCPU()
-	snap.Host.GoMaxProcs = runtime.GOMAXPROCS(0)
-	snap.Host.GoVersion = runtime.Version()
-	snap.Scheduler = sim.NewEngine().SchedulerName()
-
-	// Per-op probe timing: best of three runs to shed scheduling noise.
-	bestOf := func(run func() uint64) float64 {
-		best := math.Inf(1)
-		for r := 0; r < 3; r++ {
-			t0 := time.Now()
-			ops := run()
-			if ns := float64(time.Since(t0).Nanoseconds()) / float64(ops); ns < best {
-				best = ns
-			}
-		}
-		return best
-	}
-
-	// Event-queue cost on the canonical mix.
-	snap.SchedulerProbe.CalendarNsPerEvent = bestOf(func() uint64 {
-		return experiments.RunSchedulerProbe(sim.CalendarQueue)
-	})
-	snap.ArrayProbe.NsPerAccess = bestOf(experiments.RunArrayProbe)
-	snap.CoherenceTable.QuotNsPerOp = bestOf(func() uint64 {
-		return experiments.RunCoherenceTableProbe(coherence.QuotTable)
-	})
-	snap.CoherenceTable.OpenNsPerOp = bestOf(func() uint64 {
-		return experiments.RunCoherenceTableProbe(coherence.OpenTable)
-	})
-	snap.CoherenceTable.MapNsPerOp = bestOf(func() uint64 {
-		return experiments.RunCoherenceTableProbe(coherence.MapStore)
-	})
-	snap.CoherenceTable.BytesPerSlot = coherence.DefaultStore(16).BytesPerSlot()
-	snap.StreamProbe.SerialNsPerOp = bestOf(func() uint64 { return experiments.RunStreamProbe(false) })
-	snap.StreamProbe.BatchedNsPerOp = bestOf(func() uint64 { return experiments.RunStreamProbe(true) })
-
-	// Hot-path throughput: the same warmed system and window as
-	// BenchmarkSystemSimulationThroughput, best of three ~1s rounds.
-	sys := experiments.ThroughputSystem()
-	const minWall = time.Second
-	var (
-		iters   int
-		retired uint64
-		memBeg  runtime.MemStats
-		memEnd  runtime.MemStats
-	)
-	evStart := sys.Engine().Executed()
-	evWall := time.Duration(0)
-	runtime.ReadMemStats(&memBeg)
-	best := math.Inf(1)
-	bestIters := 0
-	for round := 0; round < 3; round++ {
-		roundIters := 0
-		start := time.Now()
-		for time.Since(start) < minWall {
-			m := sys.Run(0, experiments.ThroughputWindow)
-			retired += m.Retired
-			iters++
-			roundIters++
-		}
-		wall := time.Since(start)
-		evWall += wall
-		if ns := float64(wall.Nanoseconds()) / float64(roundIters); ns < best {
-			best = ns
-			bestIters = roundIters
-		}
-	}
-	runtime.ReadMemStats(&memEnd)
-	snap.SystemThroughput.Iters = bestIters
-	snap.SystemThroughput.NsPerOp = best
-	snap.SystemThroughput.InstrPerIter = float64(retired) / float64(iters)
-	snap.SystemThroughput.EventsPerSec = float64(sys.Engine().Executed()-evStart) / evWall.Seconds()
-	snap.SystemThroughput.AllocsPerOp = float64(memEnd.Mallocs-memBeg.Mallocs) / float64(iters)
-
-	// Paper-scale throughput points (warm-up dominates; measured after the
-	// Scale-32 probe so the two share no warm state). With -checkpoint-dir
-	// the warm state restores from a prior snapshot run's checkpoint,
-	// recorded per point as restore_sec/checkpoint_hit.
-	for _, scale := range experiments.PaperScales {
-		snap.SystemThroughputPaperScale = append(snap.SystemThroughputPaperScale,
-			experiments.RunPaperScaleProbeCkpt(scale, mode.CheckpointDir, mode.Checkpoints))
-	}
-
-	// Distributed sweep throughput at 1 and 2 workers.
-	for _, workers := range []int{1, 2} {
-		p, err := dist.RunSweepProbe(context.Background(), workers)
-		if err != nil {
-			return fmt.Errorf("dist_sweep probe (%d workers): %w", workers, err)
-		}
-		snap.DistSweep = append(snap.DistSweep, p)
-	}
-
-	// Fig 10 suite wall-clock through the concurrent runner.
-	figStart := time.Now()
-	r := experiments.Fig10(mode)
-	snap.Fig10.NsPerOp = float64(time.Since(figStart).Nanoseconds())
-	snap.Fig10.SiloGeomeanX = r.SpeedupOf("SILO")
-
-	name := snapshotName(snap.Date)
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	// Atomic (temp + rename): a crash mid-write must never leave a
-	// truncated snapshot — the CI baseline gate picks the newest committed
-	// snapshot with `sort | tail -1` and would be poisoned by a torn one.
-	if err := robust.WriteFileAtomic(name, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%s: %.1f ns/event; array %.1f ns/access; table quot %.1f / open %.1f / map %.1f ns/op, %d B/slot; stream %.1f serial vs %.1f batched ns/op; throughput %.2fms/op %.1f allocs/op, fig10 %.2fs, silo geomean %.7fx)\n",
-		name, snap.Scheduler, snap.SchedulerProbe.CalendarNsPerEvent,
-		snap.ArrayProbe.NsPerAccess,
-		snap.CoherenceTable.QuotNsPerOp, snap.CoherenceTable.OpenNsPerOp, snap.CoherenceTable.MapNsPerOp,
-		snap.CoherenceTable.BytesPerSlot,
-		snap.StreamProbe.SerialNsPerOp, snap.StreamProbe.BatchedNsPerOp,
-		snap.SystemThroughput.NsPerOp/1e6, snap.SystemThroughput.AllocsPerOp, snap.Fig10.NsPerOp/1e9, snap.Fig10.SiloGeomeanX)
-	for _, p := range snap.SystemThroughputPaperScale {
-		warmNote := fmt.Sprintf("warm %.1fs", p.WarmupSec)
-		if p.CheckpointHit {
-			warmNote = fmt.Sprintf("restored %.2fs", p.RestoreSec)
-		}
-		fmt.Fprintf(os.Stderr, "  paperscale scale=%d: %.2fms/op, %.0f instr/iter, %d table entries (%.0f MB inline, %s)\n",
-			p.Scale, p.NsPerOp/1e6, p.InstrPerIter, p.LineTableEntries, float64(p.LineTableBytes)/(1<<20), warmNote)
-	}
-	for _, p := range snap.DistSweep {
-		fmt.Fprintf(os.Stderr, "  dist_sweep workers=%d: %d cells, %.2fms/cell, %.1f cells/sec\n",
-			p.Workers, p.Cells, p.NsPerCell/1e6, p.CellsPerSec)
-	}
-
-	if baseline != "" {
-		return gateAgainstBaseline(&snap, baseline)
-	}
-	return nil
-}
-
-// snapshotName returns BENCH_<date>.json, or BENCH_<date>b.json,
-// BENCH_<date>c.json, ... when snapshots for the date already exist —
-// same-day snapshots (e.g. before/after within one PR) must both survive
-// so the perf trajectory stays complete. Suffixes keep plain
-// lexicographic sort chronological (see snapshotSuffix), which the CI
-// regression gate relies on to pick the newest committed snapshot with
-// `ls | sort | tail -1`.
-func snapshotName(date string) string {
-	for k := 0; ; k++ {
-		name := fmt.Sprintf("BENCH_%s%s.json", date, snapshotSuffix(k))
-		_, err := os.Stat(name)
-		if os.IsNotExist(err) {
-			return name
-		}
-		if err != nil {
-			// A persistent stat failure (EACCES, ENAMETOOLONG, ...) would
-			// recur for every suffix; fail instead of spinning forever.
-			panic(fmt.Sprintf("paperbench: stat %s: %v", name, err))
-		}
-	}
-}
-
-// snapshotSuffix returns the k-th same-day suffix: "", b, c, ..., z, zb,
-// ..., zz, zzb, ... Every overflow level extends the previous maximal
-// suffix with another letter, and '.' sorts before any letter, so plain
-// lexicographic filename sort stays chronological for any number of
-// same-day snapshots — the >26-per-day case must neither collide nor
-// mis-sort in the CI gate's newest-snapshot selection
-// (TestSnapshotSuffixSortsChronologically).
-func snapshotSuffix(k int) string {
-	if k == 0 {
-		return ""
-	}
-	return strings.Repeat("z", (k-1)/25) + string(rune('b'+(k-1)%25))
-}
-
-// benchRegressionFactor is the CI gate's tolerance: probe metrics may vary
-// a lot across runner generations and machine phases, so only a >2x
-// slowdown — a real algorithmic regression, not noise — fails the build.
-const benchRegressionFactor = 2.0
-
-// gateAgainstBaseline compares the fresh snapshot's probe metrics against
-// a committed baseline snapshot and errors on any >2x regression. Metrics
-// the (older) baseline lacks are skipped, so the gate tightens as the
-// schema grows.
-func gateAgainstBaseline(snap *benchSnapshot, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var base benchSnapshot
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	checks := []struct {
-		name      string
-		old, new_ float64
-	}{
-		{"scheduler_probe.calendar_ns_per_event", base.SchedulerProbe.CalendarNsPerEvent, snap.SchedulerProbe.CalendarNsPerEvent},
-		{"array_probe.ns_per_access", base.ArrayProbe.NsPerAccess, snap.ArrayProbe.NsPerAccess},
-		{"coherence_table.quot_ns_per_op", base.CoherenceTable.QuotNsPerOp, snap.CoherenceTable.QuotNsPerOp},
-		{"coherence_table.open_ns_per_op", base.CoherenceTable.OpenNsPerOp, snap.CoherenceTable.OpenNsPerOp},
-		{"stream_probe.serial_ns_per_op", base.StreamProbe.SerialNsPerOp, snap.StreamProbe.SerialNsPerOp},
-		{"stream_probe.batched_ns_per_op", base.StreamProbe.BatchedNsPerOp, snap.StreamProbe.BatchedNsPerOp},
-		{"system_throughput.ns_per_op", base.SystemThroughput.NsPerOp, snap.SystemThroughput.NsPerOp},
-	}
-	// Paper-scale points gate per scale; a scale the baseline never
-	// measured is skipped, like any other metric absent from an older
-	// schema.
-	for _, p := range snap.SystemThroughputPaperScale {
-		for _, bp := range base.SystemThroughputPaperScale {
-			if bp.Scale == p.Scale {
-				checks = append(checks, struct {
-					name      string
-					old, new_ float64
-				}{fmt.Sprintf("system_throughput_paperscale[scale=%d].ns_per_op", p.Scale), bp.NsPerOp, p.NsPerOp})
-			}
-		}
-	}
-	// The distributed runner gates per worker count: a protocol-overhead
-	// regression (chattier leases, slower merge) shows up here even when
-	// every single-process probe is clean.
-	for _, p := range snap.DistSweep {
-		for _, bp := range base.DistSweep {
-			if bp.Workers == p.Workers {
-				checks = append(checks, struct {
-					name      string
-					old, new_ float64
-				}{fmt.Sprintf("dist_sweep[workers=%d].ns_per_cell", p.Workers), bp.NsPerCell, p.NsPerCell})
-			}
-		}
-	}
-	bad := 0
-	for _, c := range checks {
-		if c.old <= 0 { // metric absent from the older baseline schema
-			continue
-		}
-		ratio := c.new_ / c.old
-		if ratio > benchRegressionFactor {
-			fmt.Fprintf(os.Stderr, "REGRESSION %s: %.2f -> %.2f ns (%.2fx > %.1fx tolerance vs %s)\n",
-				c.name, c.old, c.new_, ratio, benchRegressionFactor, path)
-			bad++
-		} else {
-			fmt.Fprintf(os.Stderr, "gate ok %s: %.2f -> %.2f ns (%.2fx)\n", c.name, c.old, c.new_, ratio)
-		}
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d probe metric(s) regressed >%.1fx against %s", bad, benchRegressionFactor, path)
-	}
-	return nil
 }

@@ -1,70 +1,16 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/experiments"
 )
-
-// Regression for the snapshot-name scheme: writing more than 26 snapshots
-// in one day must neither collide nor mis-sort in the CI gate's
-// newest-snapshot selection (`ls BENCH_*.json | sort | tail -1`). The old
-// scheme panicked at the 27th snapshot; the fix extends the suffix with
-// another letter ("z" -> "zb" -> ... -> "zz" -> "zzb"), which stays
-// lexicographically increasing because '.' sorts before any letter.
-func TestSnapshotSuffixSortsChronologically(t *testing.T) {
-	t.Chdir(t.TempDir())
-	const n = 60 // two overflow levels past the 26-per-day boundary
-	var names []string
-	seen := make(map[string]bool)
-	for k := 0; k < n; k++ {
-		name := snapshotName("2026-07-29")
-		if seen[name] {
-			t.Fatalf("snapshot %d collides: %s", k, name)
-		}
-		seen[name] = true
-		names = append(names, name)
-		if err := os.WriteFile(name, []byte("{}\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	for i := range names {
-		if names[i] != sorted[i] {
-			t.Fatalf("creation order and sort order diverge at %d: created %s, sorted %s", i, names[i], sorted[i])
-		}
-	}
-	// The gate picks the newest: the last-written snapshot must win the
-	// sort.
-	if sorted[len(sorted)-1] != names[n-1] {
-		t.Fatalf("newest snapshot is %s but sort picks %s", names[n-1], sorted[len(sorted)-1])
-	}
-}
-
-func TestSnapshotSuffixShape(t *testing.T) {
-	cases := []struct {
-		k    int
-		want string
-	}{
-		{0, ""}, {1, "b"}, {2, "c"}, {25, "z"},
-		{26, "zb"}, {50, "zz"}, {51, "zzb"}, {75, "zzz"}, {76, "zzzb"},
-	}
-	for _, c := range cases {
-		if got := snapshotSuffix(c.k); got != c.want {
-			t.Errorf("snapshotSuffix(%d) = %q, want %q", c.k, got, c.want)
-		}
-	}
-}
 
 // -checkpoint-gc must refuse while another process (here: another
 // goroutine's shared lock, same flock semantics) is mid-restore on the
@@ -222,66 +168,6 @@ func TestGridAndServeRejectSameGridFlags(t *testing.T) {
 	for _, ok := range []cliConfig{{}, {gridWindows: 8, gridConfidence: 0.99}, {gridWindows: int(mode.MeasureCycles)}} {
 		if msg := validateGridFlags(ok, mode); msg != "" {
 			t.Errorf("windows=%d confidence=%v rejected: %s", ok.gridWindows, ok.gridConfidence, msg)
-		}
-	}
-}
-
-// TestGateAgainstBaseline pins the CI snapshot gate: baselines written by
-// older schemas (including fields this binary no longer measures) parse
-// and gate on what they share with the new snapshot, a >2x slowdown on a
-// gated metric fails, and a metric the baseline lacks is skipped.
-func TestGateAgainstBaseline(t *testing.T) {
-	const committed = "../../BENCH_2026-08-08c.json" // carries gen_overlap and heap_ns_per_event
-	data, err := os.ReadFile(committed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var same benchSnapshot
-	if err := json.Unmarshal(data, &same); err != nil {
-		t.Fatal(err)
-	}
-	slower := same
-	slower.SystemThroughput.NsPerOp *= 3
-
-	var sparseNew benchSnapshot
-	sparseNew.SchedulerProbe.CalendarNsPerEvent = 31
-	sparseNew.ArrayProbe.NsPerAccess = 1e9
-	sparseNew.SystemThroughput.NsPerOp = 1e12
-	sparseNew.SystemThroughputPaperScale = []experiments.PaperScalePoint{{Scale: 1, NsPerOp: 1e12}, {Scale: 4, NsPerOp: 11}}
-	sparseNew.DistSweep = []dist.SweepPoint{{Workers: 2, NsPerCell: 1e12}}
-	sparseSlow := sparseNew
-	sparseSlow.SchedulerProbe.CalendarNsPerEvent = 90
-
-	// Older-schema baseline: the retired fields sit beside the gated
-	// calendar and Scale-4 numbers; array, throughput, Scale 1 and the
-	// dist sweep are absent.
-	const sparse = `{
-  "scheduler_probe": {"calendar_ns_per_event": 30, "heap_ns_per_event": 120},
-  "system_throughput_paperscale": [{"scale": 4, "ns_per_op": 10}],
-  "gen_overlap": [{"scale": 4, "gen_threads": 1, "ring_ns_per_op": 1}]
-}`
-	dir := t.TempDir()
-	sparsePath := filepath.Join(dir, "BENCH_sparse.json")
-	if err := os.WriteFile(sparsePath, []byte(sparse), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name     string
-		snap     benchSnapshot
-		baseline string
-		wantErr  bool
-	}{
-		{"committed baseline with retired fields", same, committed, false},
-		{"3x throughput regression vs committed", slower, committed, true},
-		{"metrics missing from baseline skipped", sparseNew, sparsePath, false},
-		{"3x calendar regression vs sparse", sparseSlow, sparsePath, true},
-	}
-	for _, tc := range cases {
-		snap := tc.snap
-		err := gateAgainstBaseline(&snap, tc.baseline)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
 		}
 	}
 }

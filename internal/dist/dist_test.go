@@ -22,9 +22,24 @@ import (
 // duplicate reports, coordinator crash-resume, and solo fallback.
 
 const (
-	testGrid4  = "systems=Baseline,SILO;workloads=WebSearch,DataServing"
-	testGrid12 = probeGrid
+	testGrid4 = "systems=Baseline,SILO;workloads=WebSearch,DataServing"
+	// testGrid12 is 12 cheap cells: enough to amortize lease round-trips
+	// and keep several workers busy, small enough for a unit test.
+	testGrid12 = "systems=Baseline,SILO;workloads=WebSearch,DataServing;overrides=-|seed=2|seed=3"
 )
+
+// testMode mirrors the grid executor tests' fast mode: real warm-up
+// and measurement, just tiny.
+func testMode() experiments.Mode {
+	return experiments.Mode{
+		Name:          "dist-test",
+		WarmInstr:     2000,
+		WarmCycles:    500,
+		MeasureCycles: 4000,
+		Scale:         32,
+		Parallelism:   1,
+	}
+}
 
 // maskWall delegates to the one shared masking implementation — the
 // byte-identity contract everywhere is "modulo wall_ms and nothing
@@ -40,7 +55,7 @@ func goldenLines(t *testing.T, grid string, windows int) []string {
 		t.Fatal(err)
 	}
 	var lines []string
-	err = experiments.RunGridStreamOpts(context.Background(), g, probeMode(), experiments.GridOptions{}, func(r experiments.GridCellResult) bool {
+	err = experiments.RunGridStreamOpts(context.Background(), g, testMode(), experiments.GridOptions{}, func(r experiments.GridCellResult) bool {
 		b, merr := json.Marshal(r)
 		if merr != nil {
 			t.Error(merr)
@@ -142,7 +157,7 @@ func TestDistByteIdentityAcrossWorkerCounts(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
 			_, url, wait := startSweep(t, ctx, Config{
-				Grid: testGrid12, Windows: 2, Mode: probeMode(),
+				Grid: testGrid12, Windows: 2, Mode: testMode(),
 				LeaseTTL: 5 * time.Second, LeaseCells: 2, SoloAfter: -1,
 			})
 			var workers []<-chan error
@@ -171,7 +186,7 @@ func TestDistLeaseExpiryReassignsOrphans(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	co, url, wait := startSweep(t, ctx, Config{
-		Grid: testGrid4, Windows: 2, Mode: probeMode(),
+		Grid: testGrid4, Windows: 2, Mode: testMode(),
 		LeaseTTL: 200 * time.Millisecond, SoloAfter: -1,
 		ReassignBackoff: robust.Backoff{Base: 10 * time.Millisecond, Cap: 50 * time.Millisecond},
 	})
@@ -210,7 +225,7 @@ func TestDistHeartbeatKeepsLeaseAlive(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	co, url, wait := startSweep(t, ctx, Config{
-		Grid: testGrid4, Windows: 2, Mode: probeMode(),
+		Grid: testGrid4, Windows: 2, Mode: testMode(),
 		LeaseTTL: 300 * time.Millisecond, SoloAfter: -1,
 	})
 	var grant LeaseResponse
@@ -245,7 +260,7 @@ func TestDistDuplicateReportMergesOnce(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	co, url, wait := startSweep(t, ctx, Config{
-		Grid: testGrid4, Windows: 2, Mode: probeMode(),
+		Grid: testGrid4, Windows: 2, Mode: testMode(),
 		LeaseTTL: 5 * time.Second, SoloAfter: -1,
 	})
 	var grant LeaseResponse
@@ -260,7 +275,7 @@ func TestDistDuplicateReportMergesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	var raw json.RawMessage
-	err = experiments.RunGridSubsetOpts(ctx, g, probeMode(), experiments.GridOptions{}, []int{idx}, func(r experiments.GridCellResult) bool {
+	err = experiments.RunGridSubsetOpts(ctx, g, testMode(), experiments.GridOptions{}, []int{idx}, func(r experiments.GridCellResult) bool {
 		raw, _ = json.Marshal(r)
 		return true
 	})
@@ -306,7 +321,7 @@ func TestDistCoordinatorJournalResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	co1, err := NewCoordinator(Config{
-		Grid: testGrid12, Windows: 2, Mode: probeMode(),
+		Grid: testGrid12, Windows: 2, Mode: testMode(),
 		LeaseTTL: 5 * time.Second, SoloAfter: -1, Journal: j1,
 	})
 	if err != nil {
@@ -338,7 +353,7 @@ func TestDistCoordinatorJournalResume(t *testing.T) {
 		t.Fatalf("journal has %d entries after aborted run, want >= 2", j2.Len())
 	}
 	co2, url, wait := startSweep(t, ctx, Config{
-		Grid: testGrid12, Windows: 2, Mode: probeMode(),
+		Grid: testGrid12, Windows: 2, Mode: testMode(),
 		LeaseTTL: 5 * time.Second, SoloAfter: -1, Journal: j2, Resume: true,
 	})
 	if got := co2.StatsSnapshot().Completed; got < 2 {
@@ -362,7 +377,7 @@ func TestDistSoloFallbackCompletesSweep(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	co, _, wait := startSweep(t, ctx, Config{
-		Grid: testGrid4, Windows: 2, Mode: probeMode(),
+		Grid: testGrid4, Windows: 2, Mode: testMode(),
 		LeaseTTL: 400 * time.Millisecond, SoloAfter: 100 * time.Millisecond,
 	})
 	lines, err := wait()
@@ -387,7 +402,7 @@ func TestDistShardJournalSalvage(t *testing.T) {
 
 	// Sweep 1: one worker keeping a per-shard journal completes everything.
 	_, url, wait := startSweep(t, ctx, Config{
-		Grid: testGrid4, Windows: 2, Mode: probeMode(),
+		Grid: testGrid4, Windows: 2, Mode: testMode(),
 		LeaseTTL: 5 * time.Second, SoloAfter: -1,
 	})
 	wch := make(chan error, 1)
@@ -406,7 +421,7 @@ func TestDistShardJournalSalvage(t *testing.T) {
 	// Sweep 2: a brand-new coordinator resumes purely from the salvaged
 	// shard journal — zero workers, solo disabled, nothing to run.
 	co2, _, wait2 := startSweep(t, ctx, Config{
-		Grid: testGrid4, Windows: 2, Mode: probeMode(),
+		Grid: testGrid4, Windows: 2, Mode: testMode(),
 		LeaseTTL: 5 * time.Second, SoloAfter: -1,
 		Resume: true, ResumeShards: []string{shard},
 	})
@@ -418,19 +433,6 @@ func TestDistShardJournalSalvage(t *testing.T) {
 		t.Fatalf("salvage prefilled %d cells, want %d", got, len(golden))
 	}
 	assertSameLines(t, lines, golden)
-}
-
-// The BENCH dist_sweep probe must complete and report sane numbers.
-func TestDistSweepProbe(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	p, err := RunSweepProbe(ctx, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Workers != 2 || p.Cells != 12 || p.NsPerCell <= 0 || p.CellsPerSec <= 0 {
-		t.Fatalf("implausible probe point: %+v", p)
-	}
 }
 
 // A version-skewed worker must refuse to join rather than contribute

@@ -71,7 +71,7 @@ func Full() Mode {
 // reported metrics.
 func runOne(cfg core.Config, specs []workload.Spec, m Mode) core.Metrics {
 	cfg.Scale = m.Scale
-	sys, _ := buildWarm(context.Background(), cfg, specs, m.WarmInstr, m.CheckpointDir, m.Checkpoints, nil)
+	sys := buildWarm(context.Background(), cfg, specs, m.WarmInstr, m.CheckpointDir, m.Checkpoints, nil)
 	met := sys.Run(m.WarmCycles, m.MeasureCycles)
 	if msg := sys.CheckInvariants(); msg != "" {
 		panic("invariant violation: " + msg)

@@ -299,9 +299,9 @@ func simulateCell(ctx context.Context, c gridCell, m Mode, inj *robust.Injector,
 
 	var sys *core.System
 	if c.scen != nil {
-		sys, _ = buildWarmScenario(ctx, c.cfg, c.scen, m.WarmInstr, m.CheckpointDir, m.Checkpoints, ph)
+		sys = buildWarmScenario(ctx, c.cfg, c.scen, m.WarmInstr, m.CheckpointDir, m.Checkpoints, ph)
 	} else {
-		sys, _ = buildWarm(ctx, c.cfg, []workload.Spec{c.spec}, m.WarmInstr, m.CheckpointDir, m.Checkpoints, ph)
+		sys = buildWarm(ctx, c.cfg, []workload.Spec{c.spec}, m.WarmInstr, m.CheckpointDir, m.Checkpoints, ph)
 	}
 	ph.set("measure")
 	ws := sys.StreamWindows(m.WarmCycles, window)

@@ -39,17 +39,6 @@ type CheckpointStats struct {
 	Waits atomic.Uint64
 }
 
-// WarmInfo reports how one system was warmed.
-type WarmInfo struct {
-	// Hit is true when the warm state was restored from a checkpoint.
-	Hit bool
-	// RestoreSec is the checkpoint read+restore wall time (Hit only).
-	RestoreSec float64
-	// WarmupSec is the total wall time of the warm phase, whichever path
-	// produced it: cold build+Prewarm+WarmFunctional, or restore.
-	WarmupSec float64
-}
-
 // checkpointKeyConfig normalizes a Config to the fields that determine
 // warmed state. Functional warm-up never consults pure-latency scalars
 // — they shape the timed phase only — so sweep cells that differ only
@@ -146,7 +135,7 @@ func buildScenarioMeta(cfg core.Config, scen *scenario.Scenario, warmInstr int) 
 // mode — missing file, torn file, flipped byte, stale version, foreign
 // key, geometry mismatch — falls back to the from-scratch path. ctx
 // only bounds the wait for another cell's warm-up of the same key.
-func buildWarm(ctx context.Context, cfg core.Config, specs []workload.Spec, warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, WarmInfo) {
+func buildWarm(ctx context.Context, cfg core.Config, specs []workload.Spec, warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) *core.System {
 	return buildWarmKeyed(ctx,
 		func() string { return CheckpointKey(cfg, specs, warmInstr) },
 		func() string { return buildMeta(cfg, specs, warmInstr) },
@@ -161,7 +150,7 @@ func buildWarm(ctx context.Context, cfg core.Config, specs []workload.Spec, warm
 // the cold path each compile a fresh source set — a restore that fails
 // partway must not leak half-restored source state into the fallback
 // cold build.
-func buildWarmScenario(ctx context.Context, cfg core.Config, scen *scenario.Scenario, warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, WarmInfo) {
+func buildWarmScenario(ctx context.Context, cfg core.Config, scen *scenario.Scenario, warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) *core.System {
 	compile := func() []workload.Source {
 		srcs, err := scen.Sources(cfg.Cores, cfg.Scale, cfg.Seed)
 		if err != nil {
@@ -192,7 +181,7 @@ var errWarmWaitInterrupted = errors.New("experiments: wait for a shared warm-up 
 // keyed by checkpoint path (DESIGN.md §11). While one cell warms a key
 // and saves its checkpoint, every other cell with that key waits and
 // then restores from the saved file. It is process-wide because every
-// run in the process — grid cells, figure runners, probes — shares the
+// run in the process — grid cells and figure runners — shares the
 // checkpoint files it guards.
 var warmFlights = flightRegistry{m: map[string]chan struct{}{}}
 
@@ -256,9 +245,7 @@ func (r *flightRegistry) join(ctx context.Context, path string, cs *CheckpointSt
 // and best-effort-save policy live here once.
 func buildWarmKeyed(ctx context.Context, deriveKey, deriveMeta func() string, build func() *core.System,
 	restore func(*checkpoint.Reader) (*core.System, error),
-	warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, WarmInfo) {
-	var info WarmInfo
-	t0 := time.Now()
+	warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) *core.System {
 	var key, path string
 	var release func(saved bool)
 	if ckptDir != "" {
@@ -294,13 +281,10 @@ func buildWarmKeyed(ctx context.Context, deriveKey, deriveMeta func() string, bu
 				if release != nil {
 					release(true)
 				}
-				info.Hit = true
-				info.RestoreSec = time.Since(t0).Seconds()
-				info.WarmupSec = info.RestoreSec
 				if cs != nil {
 					cs.Hits.Add(1)
 				}
-				return sys, info
+				return sys
 			}
 		}
 		unlock()
@@ -315,7 +299,6 @@ func buildWarmKeyed(ctx context.Context, deriveKey, deriveMeta func() string, bu
 	sys.Prewarm()
 	ph.set("warm")
 	sys.WarmFunctional(warmInstr)
-	info.WarmupSec = time.Since(t0).Seconds()
 
 	if ckptDir != "" {
 		// Best-effort save: a full disk or unwritable dir must not fail
@@ -345,5 +328,5 @@ func buildWarmKeyed(ctx context.Context, deriveKey, deriveMeta func() string, bu
 			}
 		}
 	}
-	return sys, info
+	return sys
 }

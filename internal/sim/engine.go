@@ -7,13 +7,12 @@
 // engines share no state, so independent simulations may run concurrently
 // on separate goroutines (see the experiments runner).
 //
-// The queue behind the engine is pluggable (see SchedulerKind): the default
-// is a calendar queue — per-cycle buckets over a sliding window sized to
-// the short completion delays that dominate the simulated systems, with an
-// overflow heap for far-future events — giving O(1) amortized scheduling;
-// the previous binary heap remains available as a reference implementation.
-// Both order events identically (asserted by a randomized differential
-// test), so the choice affects performance only, never results.
+// The queue behind the engine is a calendar queue — per-cycle buckets over
+// a sliding window sized to the short completion delays that dominate the
+// simulated systems, with a binary-heap overflow store for far-future
+// events — giving O(1) amortized scheduling. The heap on its own is the
+// reference implementation: a randomized differential test asserts that
+// both order events identically.
 //
 // Hot-path notes: events carry either a plain func() or a func(uint64)
 // with a pre-bound argument (ScheduleArg/AtArg). The argument form lets
@@ -49,17 +48,9 @@ type Engine struct {
 	nEvts uint64 // total events executed
 }
 
-// NewEngine returns an empty engine at cycle 0 using the default
-// calendar-queue scheduler.
+// NewEngine returns an empty engine at cycle 0 using the calendar-queue
+// scheduler.
 func NewEngine() *Engine { return &Engine{sched: newCalendarQueue()} }
-
-// NewEngineWithScheduler returns an empty engine using the given event
-// queue implementation. Every kind executes events in the identical
-// (cycle, insertion seq) order; non-default kinds exist for differential
-// testing and performance comparison.
-func NewEngineWithScheduler(kind SchedulerKind) *Engine {
-	return &Engine{sched: newScheduler(kind)}
-}
 
 // scheduler returns the event queue, installing the default for
 // zero-value engines.
@@ -69,10 +60,6 @@ func (e *Engine) scheduler() scheduler {
 	}
 	return e.sched
 }
-
-// SchedulerName reports the active event-queue implementation (for bench
-// snapshots and diagnostics).
-func (e *Engine) SchedulerName() string { return e.scheduler().name() }
 
 // Now reports the current simulation cycle.
 func (e *Engine) Now() Cycle { return e.now }

@@ -1,22 +1,11 @@
 package sim
 
-// initialHeapCap pre-sizes the event heap so steady-state simulations
-// (hundreds of in-flight events across cores, caches and controllers)
-// never grow it during the measured window.
-const initialHeapCap = 1024
-
 // eventHeap is a binary min-heap of events ordered by (when, seq). It is
 // the reference scheduler implementation and also serves as the calendar
 // queue's overflow store for far-future events.
 type eventHeap struct {
 	evs []event
 }
-
-func newEventHeap() *eventHeap {
-	return &eventHeap{evs: make([]event, 0, initialHeapCap)}
-}
-
-func (h *eventHeap) name() string { return BinaryHeap.String() }
 
 func (h *eventHeap) len() int { return len(h.evs) }
 

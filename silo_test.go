@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	silo "repro"
+	"repro/internal/experiments"
 )
 
 // The facade exposes the full workflow: configure, build, warm, run.
@@ -81,5 +82,20 @@ func TestFacadeWorkloadCatalog(t *testing.T) {
 	}
 	if got := silo.MixSpecs(silo.Spec06Mixes()[0]); len(got) != 4 {
 		t.Fatal("mix should resolve to 4 specs")
+	}
+}
+
+// TestFig10SILOGeomeanGolden pins the paper's Fig. 10 headline — SILO's
+// geomean speedup over the shared-LLC baseline on the scale-out suite in
+// quick mode — to its recorded value, bit for bit. Any change to
+// simulated timing, workload generation or warm-up moves it; a
+// host-speed change must not.
+func TestFig10SILOGeomeanGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the quick-mode Fig. 10 suite takes seconds")
+	}
+	const golden = 1.3196591383249325
+	if got := experiments.Fig10(experiments.Quick()).SpeedupOf("SILO"); got != golden {
+		t.Fatalf("Fig. 10 silo_geomean_x = %v, want %v", got, golden)
 	}
 }
